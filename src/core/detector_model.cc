@@ -125,11 +125,7 @@ featuresBatch(const DetectorModel &mdl, const std::vector<nn::Tensor> &xs,
         scratch.xs.assign(xs.begin() + static_cast<std::ptrdiff_t>(base),
                           xs.begin() +
                               static_cast<std::ptrdiff_t>(base + n));
-        // Wide layer-major forward (bit-identical to forwardBatch, one
-        // wide SGEMM per conv layer); exact-resize afterwards because
-        // extractBatch walks the whole record vector.
-        mdl.network().forwardBatchWide(scratch.xs, scratch.recs, pool);
-        scratch.recs.resize(n);
+        mdl.network().forwardBatch(scratch.xs, scratch.recs, pool);
         ex.extractBatch(scratch.recs, scratch.paths, scratch.bws, pool);
         for (std::size_t i = 0; i < n; ++i) {
             const std::size_t pred = scratch.recs[i].predictedClass();
@@ -174,8 +170,7 @@ DetectorBuilder::profileClassPaths(const nn::Dataset &train,
     auto flush = [&] {
         if (scratch.xs.empty())
             return;
-        mdl.network().forwardBatchWide(scratch.xs, scratch.recs, pool);
-        scratch.recs.resize(scratch.xs.size());
+        mdl.network().forwardBatch(scratch.xs, scratch.recs, pool);
         mdl.pathExtractor.extractBatch(scratch.recs, scratch.paths,
                                        scratch.bws, pool);
         for (std::size_t i = 0; i < scratch.xs.size(); ++i) {

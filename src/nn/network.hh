@@ -169,6 +169,13 @@ class Network
      * out over a thread pool. Records from a batch are full records:
      * any of them may be handed to backward() afterwards.
      *
+     * This is the network's one batched inference path, shared by
+     * fitting and serving: DetectorBuilder's profiling and feature
+     * passes call it directly, and DetectorSession::detectBatch runs
+     * the same per-sample inferInto fused with extraction on the pool.
+     * Each record is bit-identical to inferInto on its sample, at any
+     * batch size or thread count.
+     *
      * @param xs batch inputs.
      * @param recs resized to xs.size(); per-sample records (buffers are
      *        reused across calls, so a persistent vector makes repeated
@@ -190,34 +197,6 @@ class Network
     void forwardBatch(std::span<const Tensor *const> xs,
                       std::vector<Record> &recs,
                       ThreadPool *pool = nullptr) const;
-
-    /**
-     * Layer-major ("wide") batched inference: instead of running each
-     * sample through the whole graph independently, every node runs
-     * over the whole batch before the next node starts. Layers that
-     * answer supportsBatchedForward() — conv and linear, the arithmetic
-     * bulk — process the batch in one wide SGEMM / one weight stream
-     * (see their forwardBatchInto contracts); the rest loop per sample
-     * (fanned out on @p pool when provided).
-     *
-     * Every Record is a full record, bit-identical to what
-     * forwardBatch/inferInto produce for the same sample at any batch
-     * size, chunking, or thread count — wide mode is a throughput
-     * lever, never a numerics change. Inference-only (train=false
-     * semantics); records may still be handed to backward().
-     *
-     * Unlike forwardBatch, @p recs is grown but never shrunk (only the
-     * first xs.size() records are written), so a chunked serving loop
-     * with a short tail keeps its warm record buffers.
-     */
-    void forwardBatchWide(std::span<const Tensor *const> xs,
-                          std::vector<Record> &recs,
-                          ThreadPool *pool = nullptr) const;
-
-    /** As above, over owned tensors. */
-    void forwardBatchWide(const std::vector<Tensor> &xs,
-                          std::vector<Record> &recs,
-                          ThreadPool *pool = nullptr) const;
 
     /**
      * Back-propagate from the logits of a recorded pass.

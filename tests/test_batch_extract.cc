@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "nn/network.hh"
 #include "path/extractor.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 #include "util/thread_pool.hh"
 
 namespace ptolemy::path
@@ -62,20 +64,57 @@ TEST(ForwardBatch, RecordsMatchPerSampleForwardBitwise)
 
 TEST(ForwardBatch, ThreadPoolProducesIdenticalRecords)
 {
+    // Every record must equal this SIMD mode's per-sample inferInto
+    // bitwise, serial or at any pool width, in both weight layouts:
+    // unpacked (PTOLEMY_PREPACK=0 and the unpacked nets fitting uses)
+    // and packed, which puts AVX2 mode on the fused conv path
+    // DetectorModel serves with.
+    struct SimdModeGuard
+    {
+        SimdMode saved = simdMode();
+        ~SimdModeGuard() { simdMode() = saved; }
+    } guard;
     auto net = ptolemy::testing::makeTinyNet(10);
     nn::heInit(net, 4);
     const auto xs = randomBatch(9, net.inputShape(), 12);
 
-    std::vector<nn::Network::Record> serial, pooled;
-    net.forwardBatch(xs, serial);
-    ThreadPool pool(3);
-    net.forwardBatch(xs, pooled, &pool);
-
-    ASSERT_EQ(serial.size(), pooled.size());
-    for (std::size_t s = 0; s < serial.size(); ++s)
-        for (std::size_t n = 0; n < serial[s].outputs.size(); ++n)
-            for (std::size_t i = 0; i < serial[s].outputs[n].size(); ++i)
-                ASSERT_EQ(serial[s].outputs[n][i], pooled[s].outputs[n][i]);
+    std::vector<SimdMode> modes = {SimdMode::Scalar};
+    if (avx2Available())
+        modes.push_back(SimdMode::Avx2);
+    for (const bool packed : {false, true}) {
+        if (packed)
+            net.prepackForServing();
+        for (SimdMode mode : modes) {
+            simdMode() = mode;
+            std::vector<nn::Network::Record> ref(xs.size());
+            for (std::size_t s = 0; s < xs.size(); ++s)
+                net.inferInto(xs[s], ref[s]);
+            // threads == 0: no pool, the serial forwardBatch.
+            for (unsigned threads : {0u, 1u, 2u, 8u}) {
+                std::unique_ptr<ThreadPool> pool;
+                if (threads > 0)
+                    pool = std::make_unique<ThreadPool>(threads);
+                std::vector<nn::Network::Record> recs;
+                net.forwardBatch(xs, recs, pool.get());
+                ASSERT_EQ(recs.size(), ref.size());
+                for (std::size_t s = 0; s < recs.size(); ++s) {
+                    const auto &got = recs[s].outputs;
+                    const auto &want = ref[s].outputs;
+                    ASSERT_EQ(got.size(), want.size());
+                    for (std::size_t n = 0; n < got.size(); ++n) {
+                        ASSERT_EQ(got[n].size(), want[n].size());
+                        ASSERT_EQ(0,
+                                  std::memcmp(got[n].data(), want[n].data(),
+                                              got[n].size() * sizeof(float)))
+                            << "packed=" << packed
+                            << " mode=" << simdModeName()
+                            << " threads=" << threads << " sample " << s
+                            << " node " << n;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(ForwardBatch, ReusedRecordVectorIsRefilledCorrectly)

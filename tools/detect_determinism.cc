@@ -12,14 +12,17 @@
  *
  * Two hashes are printed:
  *  - batch_hash: decisions from one fused detectBatch over the pool.
- *  - full_hash: batch_hash folded with a sequential session.detect
- *    pass and a save->load->detect round trip over a second model, so
- *    the persisted artifacts provably serve bit-identically too.
+ *  - full_hash: batch_hash folded with the batch-vs-sequential ok flag,
+ *    a sequential session.detect pass and a save->load->detect round
+ *    trip over a second model, so the persisted artifacts provably
+ *    serve bit-identically too.
  *
- * Exit status: 0 on success, 1 if the save->load round trip fails
- * (persistence breakage is thread-count-independent, so the CI hash
- * diff alone would not catch it). The hash comparison happens in CI
- * (hashes of the 1-thread run vs the 2-thread run).
+ * Exit status: 0 on success, 1 if the save->load round trip fails or
+ * detectBatch disagrees with sequential detect() (both are
+ * thread-count-independent, so the CI hash diff alone would not catch
+ * them; `seq=1` in the output means the in-process check passed). The
+ * hash comparison happens in CI (hashes of the 1-thread run vs the
+ * 2- and 4-thread runs).
  */
 
 #include <cstdint>
@@ -144,30 +147,21 @@ main()
 
     core::DetectorSession sess(model);
     std::vector<core::Decision> batch;
-    sess.setWideBatch(true);
-    sess.detectBatch(inputs, batch); // process-wide pool, wide forward
+    sess.detectBatch(inputs, batch); // process-wide pool
     std::uint64_t h = 0xcbf29ce484222325ull;
     h = hashDecisions(h, batch);
     const std::uint64_t batch_hash = h;
 
-    // Wide-vs-per-sample cross-check: the fused reference path must
-    // produce identical Decisions (the wide forward's bit-identity
+    // Batch-vs-sequential cross-check: detect() on each input in order
+    // must produce identical Decisions (detectBatch's bit-identity
     // contract), checked in-process so a violation fails this run
     // directly instead of relying on the CI hash diff.
-    std::vector<core::Decision> fused;
-    sess.setWideBatch(false);
-    sess.detectBatch(inputs, fused);
-    std::uint64_t wide_ok = 1;
-    std::uint64_t fh = 0xcbf29ce484222325ull;
-    if (hashDecisions(fh, fused) != batch_hash)
-        wide_ok = 0;
-    sess.setWideBatch(true);
-    h = fnv1a(h, &wide_ok, sizeof(wide_ok));
-
-    // Sequential pass through the same session.
     std::vector<core::Decision> serial;
     for (const auto &x : inputs)
         serial.push_back(sess.detect(x));
+    const std::uint64_t seq_ok =
+        hashDecisions(0xcbf29ce484222325ull, serial) == batch_hash ? 1 : 0;
+    h = fnv1a(h, &seq_ok, sizeof(seq_ok));
     h = hashDecisions(h, serial);
 
     // Persistence round trip: the loaded model must serve identically.
@@ -190,11 +184,11 @@ main()
     std::remove(path);
     h = fnv1a(h, &roundtrip_ok, sizeof(roundtrip_ok));
 
-    std::printf("threads=%u roundtrip=%llu wide=%llu batch_hash=%016llx "
+    std::printf("threads=%u roundtrip=%llu seq=%llu batch_hash=%016llx "
                 "full_hash=%016llx\n",
                 globalPool().size(),
                 static_cast<unsigned long long>(roundtrip_ok),
-                static_cast<unsigned long long>(wide_ok),
+                static_cast<unsigned long long>(seq_ok),
                 static_cast<unsigned long long>(batch_hash),
                 static_cast<unsigned long long>(h));
     if (!roundtrip_ok) {
@@ -202,9 +196,9 @@ main()
                      "FAIL: DetectorModel save->load round trip broke\n");
         return 1;
     }
-    if (!wide_ok) {
-        std::fprintf(stderr, "FAIL: wide-batch Decisions diverge from the "
-                             "fused per-sample path\n");
+    if (!seq_ok) {
+        std::fprintf(stderr, "FAIL: detectBatch Decisions diverge from "
+                             "sequential detect()\n");
         return 1;
     }
     return 0;
