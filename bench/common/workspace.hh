@@ -95,8 +95,8 @@ CostResult costOfTrace(Bundle &b, const path::ExtractionConfig &cfg,
  * class paths already profiled. Serve from it by binding sessions to
  * builder->model(); fitClassifier mutates the model in place, so bound
  * sessions observe the fit. unique_ptr because DetectorBuilder is
- * neither copyable nor movable (its internal session is bound to the
- * model member).
+ * neither copyable nor movable (sessions bind to its model member by
+ * address).
  */
 std::unique_ptr<core::DetectorBuilder>
 makeBuilder(Bundle &b, path::ExtractionConfig cfg,

@@ -1,6 +1,9 @@
 #include "detector_model.hh"
 
 #include <fstream>
+#include <span>
+#include <stdexcept>
+#include <string>
 
 #include "util/serialize.hh"
 #include "util/thread_pool.hh"
@@ -102,46 +105,6 @@ DetectorModel::tryLoad(const std::string &path)
     }
 }
 
-namespace detail
-{
-
-void
-featuresBatch(const DetectorModel &mdl, const std::vector<nn::Tensor> &xs,
-              classify::FeatureMatrix &rows,
-              std::vector<std::size_t> *predicted,
-              FeatureBatchScratch &scratch)
-{
-    // Chunked so resident memory stays bounded by a few pool-widths of
-    // Records (a Record holds every intermediate feature map) instead
-    // of one Record per input for the whole batch.
-    ThreadPool *pool = &globalPool();
-    const std::size_t chunk = std::max<std::size_t>(8, 4 * pool->size());
-    rows.resize(xs.size());
-    if (predicted)
-        predicted->resize(xs.size());
-    const auto &ex = mdl.extractor();
-    for (std::size_t base = 0; base < xs.size(); base += chunk) {
-        const std::size_t n = std::min(chunk, xs.size() - base);
-        scratch.xs.assign(xs.begin() + static_cast<std::ptrdiff_t>(base),
-                          xs.begin() +
-                              static_cast<std::ptrdiff_t>(base + n));
-        mdl.network().forwardBatch(scratch.xs, scratch.recs, pool);
-        ex.extractBatch(scratch.recs, scratch.paths, scratch.bws, pool);
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t pred = scratch.recs[i].predictedClass();
-            if (predicted)
-                (*predicted)[base + i] = pred;
-            rows[base + i] =
-                path::computeSimilarity(scratch.paths[i],
-                                        mdl.classPaths().classPath(pred),
-                                        ex.layout())
-                    .toVector();
-        }
-    }
-}
-
-} // namespace detail
-
 DetectorBuilder::DetectorBuilder(const nn::Network &net,
                                  path::ExtractionConfig cfg,
                                  std::size_t num_classes,
@@ -150,51 +113,79 @@ DetectorBuilder::DetectorBuilder(const nn::Network &net,
 {
 }
 
+template <class Admit, class Visit>
+void
+DetectorBuilder::forEachPath(std::size_t n, Admit &&admit, Visit &&visit)
+{
+    ThreadPool *pool = &globalPool();
+    const std::size_t chunk = std::max<std::size_t>(8, 4 * pool->size());
+    chunkXs.clear();
+    chunkIdx.clear();
+
+    auto flush = [&] {
+        if (chunkXs.empty())
+            return;
+        mdl.network().forwardBatch(
+            std::span<const nn::Tensor *const>(chunkXs.data(),
+                                               chunkXs.size()),
+            chunkRecs, pool);
+        mdl.pathExtractor.extractBatch(chunkRecs, chunkPaths, chunkBws,
+                                       pool);
+        for (std::size_t k = 0; k < chunkIdx.size(); ++k)
+            visit(chunkIdx[k], chunkRecs[k], chunkPaths[k]);
+        chunkXs.clear();
+        chunkIdx.clear();
+    };
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const nn::Tensor *x = admit(i);
+        if (x == nullptr)
+            continue;
+        chunkXs.push_back(x);
+        chunkIdx.push_back(i);
+        if (chunkXs.size() >= chunk)
+            flush();
+    }
+    flush();
+}
+
 std::size_t
 DetectorBuilder::profileClassPaths(const nn::Dataset &train,
                                    int max_per_class)
 {
-    // Chunked batch pipeline: inference + extraction of each chunk fan
-    // out on the pool, then aggregation replays the chunk in dataset
-    // order with the same cap/correctness checks the sequential loop
-    // applied, so the resulting class paths are identical to it. (A
-    // sample whose class fills up mid-chunk is forwarded wastefully but
-    // never aggregated.)
+    // Validate every label up front so a bad dataset throws with the
+    // store untouched (samplesSeen/aggregate do not bounds-check).
+    for (const auto &s : train)
+        if (s.label >= mdl.store.numClasses())
+            throw std::out_of_range(
+                "DetectorBuilder::profileClassPaths: label " +
+                std::to_string(s.label) + " >= numClasses() " +
+                std::to_string(mdl.store.numClasses()));
+
+    // Aggregation replays each chunk in dataset order with the same
+    // cap/correctness checks the sequential loop applies, so the class
+    // paths are identical to it. Admission skips classes already full
+    // before the chunk forms; a sample whose class fills up mid-chunk
+    // is forwarded wastefully but never aggregated.
     std::size_t aggregated = 0;
-    ThreadPool *pool = &globalPool();
-    const std::size_t chunk = std::max<std::size_t>(8, 4 * pool->size());
     const auto cap = static_cast<std::size_t>(max_per_class);
-    scratch.xs.clear();
-    labelScratch.clear();
-
-    auto flush = [&] {
-        if (scratch.xs.empty())
-            return;
-        mdl.network().forwardBatch(scratch.xs, scratch.recs, pool);
-        mdl.pathExtractor.extractBatch(scratch.recs, scratch.paths,
-                                       scratch.bws, pool);
-        for (std::size_t i = 0; i < scratch.xs.size(); ++i) {
-            const std::size_t label = labelScratch[i];
-            if (mdl.store.samplesSeen(label) >= cap)
-                continue;
-            if (scratch.recs[i].predictedClass() != label)
-                continue; // only correct predictions define the canary
-            mdl.store.aggregate(label, scratch.paths[i]);
-            ++aggregated;
-        }
-        scratch.xs.clear();
-        labelScratch.clear();
+    auto has_room = [&](std::size_t label) {
+        return mdl.store.samplesSeen(label) < cap;
     };
-
-    for (const auto &s : train) {
-        if (mdl.store.samplesSeen(s.label) >= cap)
-            continue;
-        scratch.xs.push_back(s.input);
-        labelScratch.push_back(s.label);
-        if (scratch.xs.size() >= chunk)
-            flush();
-    }
-    flush();
+    forEachPath(
+        train.size(),
+        [&](std::size_t i) -> const nn::Tensor * {
+            return has_room(train[i].label) ? &train[i].input : nullptr;
+        },
+        [&](std::size_t i, const nn::Network::Record &rec,
+            const BitVector &path) {
+            const std::size_t label = train[i].label;
+            // Only correct predictions define the canary.
+            if (has_room(label) && rec.predictedClass() == label) {
+                mdl.store.aggregate(label, path);
+                ++aggregated;
+            }
+        });
     return aggregated;
 }
 
@@ -203,7 +194,21 @@ DetectorBuilder::featuresBatch(const std::vector<nn::Tensor> &xs,
                                classify::FeatureMatrix &rows,
                                std::vector<std::size_t> *predicted)
 {
-    detail::featuresBatch(mdl, xs, rows, predicted, scratch);
+    rows.resize(xs.size());
+    if (predicted)
+        predicted->resize(xs.size());
+    forEachPath(
+        xs.size(), [&](std::size_t i) { return &xs[i]; },
+        [&](std::size_t i, const nn::Network::Record &rec,
+            const BitVector &path) {
+            const std::size_t pred = rec.predictedClass();
+            if (predicted)
+                (*predicted)[i] = pred;
+            rows[i] = path::computeSimilarity(path,
+                                              mdl.store.classPath(pred),
+                                              mdl.extractor().layout())
+                          .toVector();
+        });
 }
 
 void

@@ -43,38 +43,6 @@
 namespace ptolemy::core
 {
 
-class DetectorModel;
-
-namespace detail
-{
-/**
- * Reusable scratch for the chunked batched feature pipeline shared by
- * DetectorBuilder (fitting phase) and DetectorSession (evaluation
- * harness): per-chunk input copies, records, paths and per-slot
- * extraction workspaces.
- */
-struct FeatureBatchScratch
-{
-    std::vector<nn::Tensor> xs;
-    std::vector<nn::Network::Record> recs;
-    std::vector<BitVector> paths;
-    path::BatchExtractionWorkspace bws;
-};
-
-/**
- * Batched similarity-feature rows over raw inputs: inference and path
- * extraction fan out on the process-wide pool, one workspace per pool
- * slot. rows[i] (and predicted[i] when requested) always correspond to
- * xs[i] and are bit-identical to the sequential pipeline, independent
- * of thread count.
- */
-void featuresBatch(const DetectorModel &mdl,
-                   const std::vector<nn::Tensor> &xs,
-                   classify::FeatureMatrix &rows,
-                   std::vector<std::size_t> *predicted,
-                   FeatureBatchScratch &scratch);
-} // namespace detail
-
 /**
  * Typed error thrown by DetectorModel::load for every failure mode:
  * unreadable file, bad magic, architecture-signature mismatch,
@@ -181,7 +149,9 @@ class DetectorModel
  *
  * Single-threaded use only (profiling fans out internally on the
  * process-wide pool, but the builder object itself is one client).
- * Not movable: the internal session is bound to the model member.
+ * Not movable: sessions bind to model() by address while the builder
+ * is still fitting, so relocating the model member would leave them
+ * dangling. build() && is the one way to move the finished model out.
  */
 class DetectorBuilder
 {
@@ -206,7 +176,10 @@ class DetectorBuilder
 
     /**
      * Similarity-feature rows for raw inputs (the fitting-phase feature
-     * pipeline; see DetectorSession::featuresBatch).
+     * pipeline). Inference and extraction fan out on the process-wide
+     * pool; rows[i] (and predicted[i] when requested) always correspond
+     * to xs[i] and are bit-identical to DetectorSession::detect(xs[i])
+     * features, independent of thread count.
      */
     void featuresBatch(const std::vector<nn::Tensor> &xs,
                        classify::FeatureMatrix &rows,
@@ -224,9 +197,26 @@ class DetectorBuilder
     DetectorModel build() && { return std::move(mdl); }
 
   private:
+    /**
+     * The batched fitting pipeline behind profileClassPaths and
+     * featuresBatch. Walks inputs 0..n-1 in order; @p admit(i) returns
+     * a borrowed pointer to input i, or nullptr to skip it. Admitted
+     * inputs gather into chunks of max(8, 4 x pool width) — bounding
+     * resident memory to a few pool-widths of Records — and each chunk
+     * is forwarded and extracted on the process-wide pool. Then
+     * @p visit(i, rec, path) runs for each admitted input of the chunk
+     * in order, before the next input is admitted.
+     */
+    template <class Admit, class Visit>
+    void forEachPath(std::size_t n, Admit &&admit, Visit &&visit);
+
     DetectorModel mdl;
-    detail::FeatureBatchScratch scratch;
-    std::vector<std::size_t> labelScratch; ///< profiling chunk labels
+    // Per-chunk scratch of forEachPath, reused across chunks and calls.
+    std::vector<const nn::Tensor *> chunkXs;
+    std::vector<std::size_t> chunkIdx;
+    std::vector<nn::Network::Record> chunkRecs;
+    std::vector<BitVector> chunkPaths;
+    path::BatchExtractionWorkspace chunkBws;
 };
 
 } // namespace ptolemy::core

@@ -114,12 +114,6 @@ class DetectorSession
     /** Adversarial-probability score for a recorded pass. */
     double score(const nn::Network::Record &rec);
 
-    /** Batched similarity-feature rows (the evaluation-harness fitting
-     *  pipeline; see detail::featuresBatch). */
-    void featuresBatch(const std::vector<nn::Tensor> &xs,
-                       classify::FeatureMatrix &rows,
-                       std::vector<std::size_t> *predicted = nullptr);
-
   private:
     /** Per-pool-slot scratch for the fused batch pipeline. Slot 0 also
      *  serves single-stream detect(), so both paths share warm
@@ -146,8 +140,7 @@ class DetectorSession
 
     const DetectorModel *mdl;
     telemetry::TelemetryHub *hub = nullptr; ///< borrowed; may be null
-    std::vector<Slot> slots;              ///< grown to pool width, kept warm
-    detail::FeatureBatchScratch fbScratch; ///< featuresBatch only
+    std::vector<Slot> slots;                ///< grown to pool width, kept warm
 };
 
 } // namespace ptolemy::core

@@ -168,14 +168,6 @@ fitAndScore(DetectorBuilder &bld, DetectorSession &sess,
     return out;
 }
 
-PairScores
-fitAndScore(Detector &det, const std::vector<DetectionPair> &pairs,
-            double train_fraction, std::uint64_t seed)
-{
-    return fitAndScore(det.builder(), det.session(), pairs, train_fraction,
-                       seed);
-}
-
 AttackEvalResult
 evaluateAttack(nn::Network &net, DetectorBuilder &bld, DetectorSession &sess,
                attack::Attack &atk, const nn::Dataset &test, int max_samples,
@@ -202,14 +194,6 @@ evaluateAttack(nn::Network &net, DetectorBuilder &bld, DetectorSession &sess,
     return r;
 }
 
-AttackEvalResult
-evaluateAttack(nn::Network &net, Detector &det, attack::Attack &atk,
-               const nn::Dataset &test, int max_samples, std::uint64_t seed)
-{
-    return evaluateAttack(net, det.builder(), det.session(), atk, test,
-                          max_samples, seed);
-}
-
 SuiteEvalResult
 evaluateSuite(nn::Network &net, DetectorBuilder &bld, DetectorSession &sess,
               const std::vector<std::unique_ptr<attack::Attack>> &attacks,
@@ -230,16 +214,6 @@ evaluateSuite(nn::Network &net, DetectorBuilder &bld, DetectorSession &sess,
         ? 0.0
         : sum / suite.perAttack.size();
     return suite;
-}
-
-SuiteEvalResult
-evaluateSuite(nn::Network &net, Detector &det,
-              const std::vector<std::unique_ptr<attack::Attack>> &attacks,
-              const nn::Dataset &test, int max_samples_per_attack,
-              std::uint64_t seed)
-{
-    return evaluateSuite(net, det.builder(), det.session(), attacks, test,
-                         max_samples_per_attack, seed);
 }
 
 } // namespace ptolemy::core

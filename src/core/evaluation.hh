@@ -12,11 +12,12 @@
 #define PTOLEMY_CORE_EVALUATION_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "attack/attack.hh"
-#include "core/detector.hh"
+#include "core/detector_session.hh"
 #include "nn/trainer.hh"
 
 namespace ptolemy::core
@@ -107,12 +108,6 @@ PairScores fitAndScore(DetectorBuilder &bld, DetectorSession &sess,
                        double train_fraction = 0.5,
                        std::uint64_t seed = 17);
 
-/** Façade wrapper over the builder/session overload. */
-PairScores fitAndScore(Detector &det,
-                       const std::vector<DetectionPair> &pairs,
-                       double train_fraction = 0.5,
-                       std::uint64_t seed = 17);
-
 /**
  * buildAttackPairs + fitAndScore for one attack. Attack generation
  * needs gradient passes against @p net — the one mutable-network use
@@ -124,12 +119,6 @@ AttackEvalResult evaluateAttack(nn::Network &net, DetectorBuilder &bld,
                                 const nn::Dataset &test, int max_samples,
                                 std::uint64_t seed = 17);
 
-/** Façade wrapper over the builder/session overload. */
-AttackEvalResult evaluateAttack(nn::Network &net, Detector &det,
-                                attack::Attack &atk,
-                                const nn::Dataset &test, int max_samples,
-                                std::uint64_t seed = 17);
-
 /**
  * Evaluate every attack in @p attacks and summarize. Attack generation
  * (the dominant cost) rides the batched attack engine, so throughput
@@ -138,13 +127,6 @@ AttackEvalResult evaluateAttack(nn::Network &net, Detector &det,
  */
 SuiteEvalResult evaluateSuite(
     nn::Network &net, DetectorBuilder &bld, DetectorSession &sess,
-    const std::vector<std::unique_ptr<attack::Attack>> &attacks,
-    const nn::Dataset &test, int max_samples_per_attack,
-    std::uint64_t seed = 17);
-
-/** Façade wrapper over the builder/session overload. */
-SuiteEvalResult evaluateSuite(
-    nn::Network &net, Detector &det,
     const std::vector<std::unique_ptr<attack::Attack>> &attacks,
     const nn::Dataset &test, int max_samples_per_attack,
     std::uint64_t seed = 17);

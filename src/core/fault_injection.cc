@@ -49,8 +49,10 @@ FaultCampaignResult
 runFaultCampaign(DetectorSession &sess, const nn::Dataset &inputs,
                  int num_injections, std::uint64_t seed)
 {
-    Rng rng(seed);
     FaultCampaignResult result;
+    if (inputs.empty() || num_injections <= 0)
+        return result; // nothing to draw from (Rng::below(0) is invalid)
+    Rng rng(seed);
     const nn::Network &net = sess.model().network(); // const online view
     nn::Network::Record predScratch;
 
@@ -81,13 +83,6 @@ runFaultCampaign(DetectorSession &sess, const nn::Dataset &inputs,
         }
     }
     return result;
-}
-
-FaultCampaignResult
-runFaultCampaign(Detector &det, const nn::Dataset &inputs,
-                 int num_injections, std::uint64_t seed)
-{
-    return runFaultCampaign(det.session(), inputs, num_injections, seed);
 }
 
 void

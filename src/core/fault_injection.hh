@@ -30,7 +30,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/detector.hh"
+#include "core/detector_session.hh"
 #include "nn/network.hh"
 #include "nn/trainer.hh"
 
@@ -79,15 +79,10 @@ struct FaultCampaignResult
  * feature-map elements during inferences over @p inputs, and score each
  * faulty execution through @p sess. The session's model must already be
  * fitted (class paths + classifier); faults whose execution mispredicts
- * count as "detected" when the detector's score crosses 0.5.
+ * count as "detected" when the detector's score crosses 0.5. An empty
+ * @p inputs or a non-positive @p num_injections yields the zero result.
  */
 FaultCampaignResult runFaultCampaign(DetectorSession &sess,
-                                     const nn::Dataset &inputs,
-                                     int num_injections,
-                                     std::uint64_t seed = 0xFA017);
-
-/** Façade wrapper over the session overload. */
-FaultCampaignResult runFaultCampaign(Detector &det,
                                      const nn::Dataset &inputs,
                                      int num_injections,
                                      std::uint64_t seed = 0xFA017);

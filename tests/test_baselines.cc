@@ -11,7 +11,7 @@
 #include "baselines/deepfense.hh"
 #include "baselines/ep.hh"
 #include "common/test_models.hh"
-#include "core/detector.hh"
+#include "core/detector_session.hh"
 #include "core/evaluation.hh"
 
 namespace ptolemy::baselines
@@ -94,10 +94,12 @@ TEST(AccuracyOrdering, PtolemyBwCuAtLeastMatchesBaselines)
     auto &w = ptolemy::testing::world();
     const int n = static_cast<int>(w.net.weightedNodes().size());
 
-    core::Detector det(w.net, path::ExtractionConfig::bwCu(n, 0.5), 10);
-    det.buildClassPaths(w.dataset.train, 60);
+    core::DetectorBuilder bld(w.net, path::ExtractionConfig::bwCu(n, 0.5),
+                              10);
+    core::DetectorSession sess(bld.model());
+    bld.profileClassPaths(w.dataset.train, 60);
     const double ptolemy_auc =
-        core::fitAndScore(det, fgsmPairs(), 0.5).auc;
+        core::fitAndScore(bld, sess, fgsmPairs(), 0.5).auc;
 
     EpBaseline ep(w.net, 10);
     ep.profile(w.net, w.dataset.train);

@@ -8,7 +8,7 @@
 
 #include "attack/gradient_attacks.hh"
 #include "common/test_models.hh"
-#include "core/detector.hh"
+#include "core/detector_session.hh"
 #include "core/evaluation.hh"
 #include "core/program_builder.hh"
 
@@ -27,27 +27,29 @@ numWeighted()
 TEST(DetectorTest, BuildsClassPathsFromCorrectPredictionsOnly)
 {
     auto &w = ptolemy::testing::world();
-    Detector det(w.net, path::ExtractionConfig::bwCu(numWeighted(), 0.5),
-                 10);
-    const std::size_t aggregated = det.buildClassPaths(w.dataset.train, 20);
+    DetectorBuilder bld(w.net,
+                        path::ExtractionConfig::bwCu(numWeighted(), 0.5), 10);
+    const std::size_t aggregated =
+        bld.profileClassPaths(w.dataset.train, 20);
     EXPECT_GT(aggregated, 100u); // most of 10 classes x 20 samples
     EXPECT_LE(aggregated, 200u);
+    const auto &store = bld.model().classPaths();
     for (std::size_t c = 0; c < 10; ++c) {
-        EXPECT_GT(det.classPaths().classPath(c).popcount(), 0u)
-            << "class " << c;
-        EXPECT_LE(det.classPaths().samplesSeen(c), 20u);
+        EXPECT_GT(store.classPath(c).popcount(), 0u) << "class " << c;
+        EXPECT_LE(store.samplesSeen(c), 20u);
     }
 }
 
 TEST(DetectorTest, DetectsFgsmAdversariesWithHighAuc)
 {
     auto &w = ptolemy::testing::world();
-    Detector det(w.net, path::ExtractionConfig::bwCu(numWeighted(), 0.5),
-                 10);
-    det.buildClassPaths(w.dataset.train, 60);
+    DetectorBuilder bld(w.net,
+                        path::ExtractionConfig::bwCu(numWeighted(), 0.5), 10);
+    DetectorSession sess(bld.model());
+    bld.profileClassPaths(w.dataset.train, 60);
     attack::Fgsm fgsm;
     const auto result =
-        evaluateAttack(w.net, det, fgsm, w.dataset.test, 60);
+        evaluateAttack(w.net, bld, sess, fgsm, w.dataset.test, 60);
     EXPECT_EQ(result.attackName, "FGSM");
     EXPECT_GT(result.numPairs, 10u);
     EXPECT_GT(result.auc, 0.80) << "detection should clearly beat chance";
@@ -56,15 +58,16 @@ TEST(DetectorTest, DetectsFgsmAdversariesWithHighAuc)
 TEST(DetectorTest, DetectDecisionIsConsistentWithScore)
 {
     auto &w = ptolemy::testing::world();
-    Detector det(w.net, path::ExtractionConfig::bwCu(numWeighted(), 0.5),
-                 10);
-    det.buildClassPaths(w.dataset.train, 40);
+    DetectorBuilder bld(w.net,
+                        path::ExtractionConfig::bwCu(numWeighted(), 0.5), 10);
+    DetectorSession sess(bld.model());
+    bld.profileClassPaths(w.dataset.train, 40);
     attack::Fgsm fgsm;
     auto pairs = buildAttackPairs(w.net, fgsm, w.dataset.test, 40);
     ASSERT_GT(pairs.size(), 4u);
-    fitAndScore(det, pairs, 0.5);
+    fitAndScore(bld, sess, pairs, 0.5);
 
-    const auto d = det.detect(pairs[0].clean);
+    const auto d = sess.detect(pairs[0].clean);
     EXPECT_EQ(d.adversarial, d.score >= 0.5);
     EXPECT_LT(d.predictedClass, 10u);
     EXPECT_FALSE(d.features.perLayer.empty());
@@ -73,12 +76,13 @@ TEST(DetectorTest, DetectDecisionIsConsistentWithScore)
 TEST(DetectorTest, FeaturesIncludeOverallAndPerLayer)
 {
     auto &w = ptolemy::testing::world();
-    Detector det(w.net, path::ExtractionConfig::bwCu(numWeighted(), 0.5),
-                 10);
-    det.buildClassPaths(w.dataset.train, 20);
+    DetectorBuilder bld(w.net,
+                        path::ExtractionConfig::bwCu(numWeighted(), 0.5), 10);
+    DetectorSession sess(bld.model());
+    bld.profileClassPaths(w.dataset.train, 20);
     auto rec = w.net.forward(w.dataset.test[0].input);
     path::ExtractionTrace trace;
-    const auto f = det.featuresFor(rec, &trace);
+    const auto f = sess.featuresFor(rec, &trace);
     EXPECT_EQ(f.size(), static_cast<std::size_t>(numWeighted()) + 1);
     EXPECT_EQ(trace.layers.size(), static_cast<std::size_t>(numWeighted()));
 }
@@ -86,12 +90,12 @@ TEST(DetectorTest, FeaturesIncludeOverallAndPerLayer)
 TEST(DetectorTest, VariantNameReflectsConfig)
 {
     auto &w = ptolemy::testing::world();
-    Detector d1(w.net, path::ExtractionConfig::bwCu(numWeighted(), 0.5),
-                10);
-    EXPECT_EQ(d1.variantName(), "BwCu");
-    Detector d2(w.net, path::ExtractionConfig::fwAb(numWeighted(), 0.1),
-                10);
-    EXPECT_EQ(d2.variantName(), "FwAb");
+    DetectorModel m1(w.net,
+                     path::ExtractionConfig::bwCu(numWeighted(), 0.5), 10);
+    EXPECT_EQ(m1.variantName(), "BwCu");
+    DetectorModel m2(w.net,
+                     path::ExtractionConfig::fwAb(numWeighted(), 0.1), 10);
+    EXPECT_EQ(m2.variantName(), "FwAb");
 }
 
 // ------------------------------------------------------ ProgramBuilder --
@@ -152,9 +156,10 @@ TEST(EvaluationTest, PairsComeFromCorrectlyClassifiedInputs)
 TEST(EvaluationTest, FitAndScoreHandlesDegenerateInputs)
 {
     auto &w = ptolemy::testing::world();
-    Detector det(w.net, path::ExtractionConfig::bwCu(numWeighted(), 0.5),
-                 10);
-    const auto scores = fitAndScore(det, {}, 0.5);
+    DetectorBuilder bld(w.net,
+                        path::ExtractionConfig::bwCu(numWeighted(), 0.5), 10);
+    DetectorSession sess(bld.model());
+    const auto scores = fitAndScore(bld, sess, {}, 0.5);
     EXPECT_TRUE(scores.heldOut.empty());
     EXPECT_DOUBLE_EQ(scores.auc, 0.5);
 }
@@ -162,13 +167,14 @@ TEST(EvaluationTest, FitAndScoreHandlesDegenerateInputs)
 TEST(EvaluationTest, HeldOutIsBalanced)
 {
     auto &w = ptolemy::testing::world();
-    Detector det(w.net, path::ExtractionConfig::bwCu(numWeighted(), 0.5),
-                 10);
-    det.buildClassPaths(w.dataset.train, 30);
+    DetectorBuilder bld(w.net,
+                        path::ExtractionConfig::bwCu(numWeighted(), 0.5), 10);
+    DetectorSession sess(bld.model());
+    bld.profileClassPaths(w.dataset.train, 30);
     attack::Fgsm fgsm;
     auto pairs = buildAttackPairs(w.net, fgsm, w.dataset.test, 40);
     ASSERT_GT(pairs.size(), 6u);
-    const auto ps = fitAndScore(det, pairs, 0.5);
+    const auto ps = fitAndScore(bld, sess, pairs, 0.5);
     std::size_t adv = 0;
     for (const auto &s : ps.heldOut)
         adv += s.label;

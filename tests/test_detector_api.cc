@@ -2,8 +2,9 @@
  * @file
  * Serving-API tests for the Engine/Session split: batched-vs-sequential
  * Decision bit-identity across thread counts, concurrent sessions over
- * one shared DetectorModel, allocation-free session steady state, and
- * the DetectorModel save/load round trip.
+ * one shared DetectorModel, allocation-free session steady state, the
+ * DetectorModel save/load round trip, and the builder's batched fitting
+ * loop against a sequential reference.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 
 #include "common/alloc_probe.hh"
 #include "common/test_models.hh"
-#include "core/detector.hh"
 #include "core/detector_model.hh"
 #include "core/detector_session.hh"
 #include "util/rng.hh"
@@ -325,36 +325,81 @@ TEST(DetectorApi, SaveLoadRoundTripDetectsBitIdentically)
     std::remove(path.c_str());
 }
 
-TEST(DetectorApi, FacadeDelegatesToServingApi)
+TEST(DetectorApi, ProfileClassPathsMatchesSequentialLoop)
+{
+    // 120 samples span several fitting chunks (max(8, 4 x pool width))
+    // at any thread count, and a cap of 6 fills classes mid-chunk, so
+    // the batched loop's admission and in-order replay are both hit.
+    auto &w = ptolemy::testing::world();
+    const auto cfg = path::ExtractionConfig::bwCu(numWeighted(), 0.5);
+    const nn::Dataset train(w.dataset.train.begin(),
+                            w.dataset.train.begin() + 120);
+    const std::size_t cap = 6;
+
+    DetectorBuilder bld(w.net, cfg, 10);
+    const std::size_t aggregated =
+        bld.profileClassPaths(train, static_cast<int>(cap));
+
+    // Hand-written sequential reference: forward -> extract ->
+    // aggregate, one sample at a time.
+    path::PathExtractor ex(w.net, cfg);
+    path::ClassPathStore ref(10, ex.layout().totalBits());
+    std::size_t ref_aggregated = 0;
+    for (const auto &s : train) {
+        if (ref.samplesSeen(s.label) >= cap)
+            continue;
+        const auto rec = w.net.forward(s.input);
+        if (rec.predictedClass() != s.label)
+            continue;
+        ref.aggregate(s.label, ex.extract(rec));
+        ++ref_aggregated;
+    }
+
+    EXPECT_EQ(aggregated, ref_aggregated);
+    const auto &store = bld.model().classPaths();
+    std::size_t full = 0;
+    for (std::size_t c = 0; c < 10; ++c) {
+        EXPECT_EQ(store.samplesSeen(c), ref.samplesSeen(c)) << "class " << c;
+        EXPECT_TRUE(store.classPath(c) == ref.classPath(c)) << "class " << c;
+        full += ref.samplesSeen(c) == cap;
+    }
+    EXPECT_GT(full, 0u) << "the cap must bind for the check to bite";
+}
+
+TEST(DetectorApi, FeaturesBatchMatchesDetectFeatures)
 {
     auto &w = ptolemy::testing::world();
-    const auto &model = fittedModel();
-    const auto xs = probeInputs(4);
+    DetectorBuilder bld(w.net,
+                        path::ExtractionConfig::bwCu(numWeighted(), 0.5), 10);
+    bld.profileClassPaths(w.dataset.train, 20);
+    const auto xs = probeInputs(75); // several fitting chunks
 
-    // The deprecated façade over the same profiling/fitting sequence
-    // must decide exactly like the split API it wraps.
-    Detector det(w.net, path::ExtractionConfig::bwCu(numWeighted(), 0.5),
-                 10);
-    det.buildClassPaths(w.dataset.train, 30);
-    Rng rng(0x51AB);
-    std::vector<nn::Tensor> clean, noisy;
-    for (std::size_t i = 0; i < 24; ++i) {
-        const auto &s = w.dataset.test[i];
-        clean.push_back(s.input);
-        nn::Tensor x = s.input;
-        for (std::size_t e = 0; e < x.size(); ++e)
-            x[e] += static_cast<float>(rng.uniform(-0.1, 0.1));
-        noisy.push_back(std::move(x));
+    classify::FeatureMatrix rows;
+    std::vector<std::size_t> predicted;
+    bld.featuresBatch(xs, rows, &predicted);
+    ASSERT_EQ(rows.size(), xs.size());
+    ASSERT_EQ(predicted.size(), xs.size());
+
+    DetectorSession sess(bld.model());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        const Decision d = sess.detect(xs[i]);
+        EXPECT_EQ(predicted[i], d.predictedClass) << "sample " << i;
+        EXPECT_EQ(rows[i], d.features.toVector()) << "sample " << i;
     }
-    classify::FeatureMatrix benign, adversarial;
-    det.featuresBatch(clean, benign);
-    det.featuresBatch(noisy, adversarial);
-    det.fitClassifier(benign, adversarial);
+}
 
-    DetectorSession sess(model);
-    for (std::size_t i = 0; i < xs.size(); ++i)
-        expectDecisionsEqual(det.detect(xs[i]), sess.detect(xs[i]),
-                             "facade sample " + std::to_string(i));
+TEST(DetectorApi, ProfileRejectsOutOfRangeLabels)
+{
+    auto &w = ptolemy::testing::world();
+    DetectorBuilder bld(w.net,
+                        path::ExtractionConfig::bwCu(numWeighted(), 0.5), 10);
+    nn::Dataset train(w.dataset.train.begin(),
+                      w.dataset.train.begin() + 20);
+    train.back().label = 10; // == numClasses(): one past the last class
+    EXPECT_THROW(bld.profileClassPaths(train, 5), std::out_of_range);
+    // Rejected before any aggregation: the store is untouched.
+    for (std::size_t c = 0; c < 10; ++c)
+        EXPECT_EQ(bld.model().classPaths().samplesSeen(c), 0u);
 }
 
 } // namespace

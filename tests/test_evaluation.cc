@@ -10,7 +10,7 @@
 
 #include "attack/gradient_attacks.hh"
 #include "common/test_models.hh"
-#include "core/detector.hh"
+#include "core/detector_session.hh"
 #include "core/evaluation.hh"
 #include "util/rng.hh"
 
@@ -26,16 +26,20 @@ numWeighted()
         ptolemy::testing::world().net.weightedNodes().size());
 }
 
-/** Detector over the shared trained world with a few class paths. */
-Detector
-smallDetector()
+/** Builder + session over the shared trained world with a few class
+ *  paths. */
+struct SmallDetector
 {
-    auto &w = ptolemy::testing::world();
-    Detector det(w.net, path::ExtractionConfig::bwCu(numWeighted(), 0.5),
-                 10);
-    det.buildClassPaths(w.dataset.train, 10);
-    return det;
-}
+    DetectorBuilder bld{ptolemy::testing::world().net,
+                        path::ExtractionConfig::bwCu(numWeighted(), 0.5),
+                        10};
+    DetectorSession sess{bld.model()};
+
+    SmallDetector()
+    {
+        bld.profileClassPaths(ptolemy::testing::world().dataset.train, 10);
+    }
+};
 
 /** Pairs manufactured from test samples + deterministic noise: enough
  *  for fitAndScore, with no attack cost. */
@@ -78,8 +82,9 @@ TEST(EvaluationAccounting, SuccessRateDividesByAttemptedNotByCap)
     ASSERT_LT(attempted, cap) << "slice must exhaust before the cap";
     ASSERT_GT(pairs.size(), 0u) << "FGSM should fool some inputs";
 
-    auto det = smallDetector();
-    const auto r = evaluateAttack(w.net, det, fgsm, slice, cap);
+    SmallDetector det;
+    const auto r =
+        evaluateAttack(w.net, det.bld, det.sess, fgsm, slice, cap);
     EXPECT_EQ(r.numAttempted, static_cast<std::size_t>(attempted));
     EXPECT_EQ(r.numPairs, pairs.size());
     EXPECT_DOUBLE_EQ(r.attackSuccessRate,
@@ -89,14 +94,14 @@ TEST(EvaluationAccounting, SuccessRateDividesByAttemptedNotByCap)
 TEST(EvaluationAccounting, EmptyTestSetIsSafe)
 {
     auto &w = ptolemy::testing::world();
-    auto det = smallDetector();
+    SmallDetector det;
     attack::Fgsm fgsm;
     int attempted = -1;
     const auto pairs =
         buildAttackPairs(w.net, fgsm, {}, 20, 0xE7A1, &attempted);
     EXPECT_TRUE(pairs.empty());
     EXPECT_EQ(attempted, 0);
-    const auto r = evaluateAttack(w.net, det, fgsm, {}, 20);
+    const auto r = evaluateAttack(w.net, det.bld, det.sess, fgsm, {}, 20);
     EXPECT_EQ(r.numPairs, 0u);
     EXPECT_EQ(r.numAttempted, 0u);
     EXPECT_DOUBLE_EQ(r.attackSuccessRate, 0.0);
@@ -107,17 +112,17 @@ TEST(EvaluationSplit, HighTrainFractionStillHoldsOutTwoPairs)
     // 4 pairs at train_fraction 0.9: the unclamped split trained on 3
     // and scored a single pair (or none at fraction 1.0), reporting a
     // near-vacuous AUC. The clamp guarantees >= 2 held-out pairs.
-    auto det = smallDetector();
+    SmallDetector det;
     const auto pairs = syntheticPairs(4);
     for (double frac : {0.9, 1.0}) {
-        const auto ps = fitAndScore(det, pairs, frac);
+        const auto ps = fitAndScore(det.bld, det.sess, pairs, frac);
         EXPECT_EQ(ps.heldOut.size(), 4u) << "frac=" << frac;
         EXPECT_GE(ps.auc, 0.0);
         EXPECT_LE(ps.auc, 1.0);
     }
     // And the lower clamp still applies: tiny fractions keep 2 in
     // training.
-    const auto ps = fitAndScore(det, pairs, 0.0);
+    const auto ps = fitAndScore(det.bld, det.sess, pairs, 0.0);
     EXPECT_EQ(ps.heldOut.size(), 4u);
 }
 

@@ -78,15 +78,16 @@ TEST(FaultInjection, CampaignDetectsMispredictingFaults)
 {
     auto &w = ptolemy::testing::world();
     const int n = static_cast<int>(w.net.weightedNodes().size());
-    Detector det(w.net, path::ExtractionConfig::bwCu(n, 0.5), 10);
-    det.buildClassPaths(w.dataset.train, 60);
+    DetectorBuilder bld(w.net, path::ExtractionConfig::bwCu(n, 0.5), 10);
+    DetectorSession sess(bld.model());
+    bld.profileClassPaths(w.dataset.train, 60);
     // Fit the classifier on adversarial pairs — the campaign then reuses
     // the same detector for hardware faults, as the paper suggests.
     attack::Fgsm fgsm;
     auto pairs = buildAttackPairs(w.net, fgsm, w.dataset.test, 40);
-    fitAndScore(det, pairs, 0.5);
+    fitAndScore(bld, sess, pairs, 0.5);
 
-    const auto res = runFaultCampaign(det, w.dataset.test, 400);
+    const auto res = runFaultCampaign(sess, w.dataset.test, 400);
     EXPECT_EQ(res.injections, 400u);
     EXPECT_GE(res.mispredictions, 5u);
     // A mispredicting fault perturbs the activation path like an
@@ -95,6 +96,26 @@ TEST(FaultInjection, CampaignDetectsMispredictingFaults)
     // Masked (benign-outcome) faults should rarely raise alarms.
     EXPECT_LT(static_cast<double>(res.falseAlarms),
               0.15 * (res.injections - res.mispredictions) + 1);
+}
+
+TEST(FaultInjection, CampaignOverNoInputsIsZero)
+{
+    // No sample to draw: the campaign must return the zero result
+    // rather than ask the Rng for a draw below zero.
+    auto &w = ptolemy::testing::world();
+    const int n = static_cast<int>(w.net.weightedNodes().size());
+    DetectorModel model(w.net, path::ExtractionConfig::bwCu(n, 0.5), 10);
+    DetectorSession sess(model);
+    for (int injections : {0, 50}) {
+        const auto res = runFaultCampaign(sess, nn::Dataset{}, injections);
+        EXPECT_EQ(res.injections, 0u) << injections;
+        EXPECT_EQ(res.mispredictions, 0u) << injections;
+        EXPECT_EQ(res.detected, 0u) << injections;
+        EXPECT_EQ(res.falseAlarms, 0u) << injections;
+        EXPECT_DOUBLE_EQ(res.detectionRate(), 0.0) << injections;
+    }
+    const auto none = runFaultCampaign(sess, w.dataset.test, -3);
+    EXPECT_EQ(none.injections, 0u);
 }
 
 } // namespace

@@ -9,7 +9,7 @@
 #include "attack/gradient_attacks.hh"
 #include "common/test_models.hh"
 #include "compiler/compiler.hh"
-#include "core/detector.hh"
+#include "core/detector_session.hh"
 #include "core/evaluation.hh"
 #include "hw/simulator.hh"
 #include "isa/instruction.hh"
@@ -103,12 +103,13 @@ TEST_P(VariantProperties, TraceCountsMatchPath)
 TEST_P(VariantProperties, DetectorBeatsChanceOnFgsm)
 {
     auto &w = testing::world();
-    core::Detector det(w.net, variantConfig(GetParam()), 10);
-    det.buildClassPaths(w.dataset.train, 40);
+    core::DetectorBuilder bld(w.net, variantConfig(GetParam()), 10);
+    core::DetectorSession sess(bld.model());
+    bld.profileClassPaths(w.dataset.train, 40);
     attack::Fgsm fgsm;
     auto pairs = core::buildAttackPairs(w.net, fgsm, w.dataset.test, 40);
     ASSERT_GT(pairs.size(), 6u);
-    EXPECT_GT(core::fitAndScore(det, pairs, 0.5).auc, 0.6)
+    EXPECT_GT(core::fitAndScore(bld, sess, pairs, 0.5).auc, 0.6)
         << GetParam();
 }
 
