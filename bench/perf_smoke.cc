@@ -157,29 +157,28 @@ statOf(std::vector<double> t)
  * (packed vs per-call-packed forward) then see the same slow drift —
  * frequency steps, a neighbor landing on the core — instead of one arm
  * eating a whole bad window, so the gated ratio of the medians is far
- * steadier than two independent measurements minutes apart. @p knob is
- * flipped true for the A arm, false for B, and restored.
+ * steadier than two independent measurements minutes apart.
+ * @p setArm(true) sets up the A arm and setArm(false) the B arm,
+ * outside the timed calls; the B arm is left set on return.
  */
-template <typename Fn>
+template <typename Fn, typename SetArm>
 std::pair<TimingStat, TimingStat>
-interleavedABSecsPerCall(Fn &&fn, bool &knob, double min_seconds,
+interleavedABSecsPerCall(Fn &&fn, SetArm &&setArm, double min_seconds,
                          int trials = 5)
 {
-    const bool saved = knob;
-    knob = true;
+    setArm(true);
     fn(); // warm arm A
-    knob = false;
+    setArm(false);
     fn(); // warm arm B
     std::vector<double> ta(static_cast<std::size_t>(trials));
     std::vector<double> tb(static_cast<std::size_t>(trials));
     const double budget = min_seconds / (2 * trials);
     for (int i = 0; i < trials; ++i) {
-        knob = true;
+        setArm(true);
         ta[static_cast<std::size_t>(i)] = secsPerCall(fn, budget);
-        knob = false;
+        setArm(false);
         tb[static_cast<std::size_t>(i)] = secsPerCall(fn, budget);
     }
-    knob = saved;
     return {statOf(std::move(ta)), statOf(std::move(tb))};
 }
 
@@ -221,7 +220,14 @@ benchConv(double min_time)
     auto fwd = [&] { conv.forwardInto({&in}, out, false); };
 
     const auto [packed, nopack] = interleavedABSecsPerCall(
-        fwd, nn::prepackEnabled(), 2.0 * min_time);
+        fwd,
+        [&](bool pack) {
+            if (pack)
+                conv.prepackWeights();
+            else
+                conv.invalidatePackedWeights();
+        },
+        2.0 * min_time);
     r.gemmGflops = flops / packed.median / 1e9;
     r.gemmGflopsMin = flops / packed.max / 1e9;
     r.gemmGflopsMax = flops / packed.min / 1e9;
@@ -776,7 +782,15 @@ benchDetect(double min_time)
         model.network().forwardBatch(xspan, recs); // warm + records
         auto fwd = [&] { model.network().forwardBatch(xspan, recs); };
         const auto [fwd_spc, fwd_np] = interleavedABSecsPerCall(
-            fwd, nn::prepackEnabled(), 2.0 * min_time);
+            fwd,
+            [&](bool pack) {
+                if (pack)
+                    net.prepackForServing();
+                else
+                    net.invalidatePackedWeights();
+            },
+            2.0 * min_time);
+        net.prepackForServing(); // the model serves packed below
         r.forwardUsPerDetect = fwd_spc.median / kChunk * 1e6;
         r.forwardUsPerDetectMin = fwd_spc.min / kChunk * 1e6;
         r.forwardUsPerDetectMax = fwd_spc.max / kChunk * 1e6;

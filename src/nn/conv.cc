@@ -51,9 +51,16 @@ Conv2d::forwardInto(const std::vector<const Tensor *> &ins, Tensor &out,
 void
 Conv2d::prepackWeights() const
 {
+    // Pack only whole 8-channel panels. The fused kernel has no vector
+    // path for a remainder below 8 channels: measured on a 4-core AVX2
+    // host, MiniAlexNet's 12-channel conv1 took 33 us per forward
+    // packed (4 channels in a scalar fmaf loop) vs 9.8 us through
+    // im2col + sgemm, while every layer with a multiple of 8 channels
+    // was equal or faster packed. Other shapes keep packedWt empty and
+    // take forwardGemm's per-call path.
+    if (outC % 8 != 0 || !packedWt.empty())
+        return; // unpackable, or fresh — stay a pure read
     const int K = inC * kSize * kSize;
-    if (!packedWt.empty() && packedWt.K == K && packedWt.N == outC)
-        return; // fresh — stay a pure read (serving-safe no-op)
     // B[k][oc] = W^T, packed straight from the [outC x K] weight rows.
     packBMatrixStrided(weight.data(), /*k_stride=*/1, /*n_stride=*/K, K,
                        outC, packedWt);
@@ -63,12 +70,10 @@ bool
 Conv2d::usePackedForward() const
 {
 #ifdef PTOLEMY_HAVE_AVX2
-    // Order matters: the simd/knob checks touch no layer state, so a
-    // thread can never observe a half-built pack unless it is already
+    // A thread can never observe a half-built pack unless it is already
     // serving this network — which the DetectorModel ownership contract
     // forbids before the constructor (which packs) returns.
-    return simdMode() == SimdMode::Avx2 && prepackEnabled() &&
-           !packedWt.empty();
+    return simdMode() == SimdMode::Avx2 && !packedWt.empty();
 #else
     return false;
 #endif

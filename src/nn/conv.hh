@@ -49,9 +49,10 @@ class Conv2d : public Layer
 
     /**
      * Pack W^T [inC*k*k x outC] into the persistent blocked panel
-     * layout the fused serving forward consumes (convForwardPacked).
-     * Pure read when already fresh; see Layer::prepackWeights for the
-     * ownership contract.
+     * layout the fused serving forward consumes (convForwardPacked),
+     * when outC is a multiple of 8; other layers keep the per-call
+     * im2col + sgemm forward. Pure read when already fresh; see
+     * Layer::prepackWeights for the ownership contract.
      */
     void prepackWeights() const override;
     void invalidatePackedWeights() override { packedWt.clear(); }
@@ -83,7 +84,7 @@ class Conv2d : public Layer
     /** Output shape for one input shape, allocation-free. */
     Shape outShapeFor(const Shape &in) const;
     /** True when the fused packed serving forward should run: AVX2
-     *  build+mode, PTOLEMY_PREPACK on, and a fresh packed panel. */
+     *  build+mode and a fresh packed panel. */
     bool usePackedForward() const;
     /** Scalar reference forward (PTOLEMY_NAIVE_CONV / equivalence tests). */
     void forwardNaive(const Tensor &in, Tensor &out) const;

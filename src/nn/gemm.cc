@@ -28,13 +28,17 @@ constexpr int TN = 256;
 // pool for; they run serially on the calling thread.
 constexpr double kParallelFlopCutoff = 2.0 * 1024 * 1024;
 
+// Below this many tiles/row blocks a product runs inline: pool dispatch
+// latency dominates the 2-3-task shapes single-sample serving sees.
+constexpr std::size_t kInlineTaskCutoff = 4;
+
 /** Pool gate shared by every tiled entry point: enough threads, enough
- *  tasks (see gemmInlineTaskCutoff), enough arithmetic. */
+ *  tasks, enough arithmetic. Scheduling only — results are bit-identical
+ *  either way. */
 bool
 usePoolFor(ThreadPool *pool, std::size_t n_tasks, double flops)
 {
-    return pool && pool->size() > 1 && n_tasks > 1 &&
-           n_tasks >= static_cast<std::size_t>(gemmInlineTaskCutoff()) &&
+    return pool && pool->size() > 1 && n_tasks >= kInlineTaskCutoff &&
            flops >= kParallelFlopCutoff;
 }
 
@@ -136,31 +140,6 @@ gemmPool()
 {
     static ThreadPool *pool = &globalPool();
     return pool;
-}
-
-bool &
-prepackEnabled()
-{
-    static bool on = [] {
-        ensureTuningApplied();
-        const char *env = std::getenv("PTOLEMY_PREPACK");
-        return !(env && env[0] == '0' && env[1] == '\0');
-    }();
-    return on;
-}
-
-int &
-gemmInlineTaskCutoff()
-{
-    static int cutoff = [] {
-        if (const char *env = std::getenv("PTOLEMY_GEMM_INLINE_TILES")) {
-            const int parsed = std::atoi(env);
-            if (parsed > 0)
-                return parsed;
-        }
-        return 4;
-    }();
-    return cutoff;
 }
 
 namespace
@@ -333,6 +312,7 @@ void
 packBMatrixStrided(const float *b, std::ptrdiff_t k_stride,
                    std::ptrdiff_t n_stride, int K, int N, PackedB &out)
 {
+    assert(N % 8 == 0);
     const auto L = detail::packedBLayout(K, N);
     out.K = K;
     out.N = N;
@@ -355,123 +335,7 @@ packBMatrixStrided(const float *b, std::ptrdiff_t k_stride,
             for (int c = 0; c < 8; ++c)
                 dst[static_cast<std::size_t>(k) * 8 + c] = at(k, j0 + c);
     }
-    if (L.tail > 0) {
-        float *dst = base + L.offTail;
-        const int j0 = L.nFull * 16 + (L.has8 ? 8 : 0);
-        for (int k = 0; k < K; ++k)
-            for (int c = 0; c < L.tail; ++c)
-                dst[static_cast<std::size_t>(k) * L.tail + c] =
-                    at(k, j0 + c);
-    }
 }
-
-void
-packBMatrix(const float *B, int ldb, int K, int N, PackedB &out)
-{
-    packBMatrixStrided(B, ldb, 1, K, N, out);
-}
-
-namespace
-{
-
-/**
- * Scalar prepacked tile: replays scalarTile's exact accumulation order
- * — zero fill, then for each absolute BK block the grouped-4 panel
- * kernel — but reads B from the packed panels. The k-group boundaries
- * are multiples of BK regardless of column, so every element's float
- * chain is identical to scalarTile on the unpacked matrix.
- */
-void
-scalarPrepackedTile(int i0, int imax, int j0, int jmax, int K, int N,
-                    const float *A, const float *packed, float *C,
-                    bool accumulate)
-{
-    const auto L = detail::packedBLayout(K, N);
-    if (!accumulate)
-        for (int i = i0; i < imax; ++i)
-            std::fill(C + static_cast<std::size_t>(i) * N + j0,
-                      C + static_cast<std::size_t>(i) * N + jmax, 0.0f);
-    for (int k0 = 0; k0 < K; k0 += BK) {
-        const int kmax = std::min(K, k0 + BK);
-        int j = j0;
-        while (j < jmax) {
-            // Panel containing column j. Tile bounds sit on multiples
-            // of TN (a multiple of 16), so panels never straddle them.
-            const float *P;
-            int w, col0;
-            if (j < L.nFull * 16) {
-                const int blk = j / 16;
-                P = packed + static_cast<std::size_t>(blk) * K * 16;
-                w = 16;
-                col0 = blk * 16;
-            } else if (L.has8 && j < L.nFull * 16 + 8) {
-                P = packed + L.off8;
-                w = 8;
-                col0 = L.nFull * 16;
-            } else {
-                P = packed + L.offTail;
-                w = L.tail;
-                col0 = L.nFull * 16 + (L.has8 ? 8 : 0);
-            }
-            const int jend = std::min(jmax, col0 + w);
-            for (int i = i0; i < imax; ++i) {
-                const float *a = A + static_cast<std::size_t>(i) * K;
-                float *c = C + static_cast<std::size_t>(i) * N;
-                int k = k0;
-                for (; k + 3 < kmax; k += 4) {
-                    const float a0 = a[k];
-                    const float a1 = a[k + 1];
-                    const float a2 = a[k + 2];
-                    const float a3 = a[k + 3];
-                    const float *b0 = P + static_cast<std::size_t>(k) * w;
-                    const float *b1 = b0 + w;
-                    const float *b2 = b1 + w;
-                    const float *b3 = b2 + w;
-                    for (int jj = j; jj < jend; ++jj) {
-                        const int c0 = jj - col0;
-                        c[jj] += a0 * b0[c0] + a1 * b1[c0] + a2 * b2[c0] +
-                                 a3 * b3[c0];
-                    }
-                }
-                for (; k < kmax; ++k) {
-                    const float ak = a[k];
-                    const float *bk = P + static_cast<std::size_t>(k) * w;
-                    for (int jj = j; jj < jend; ++jj)
-                        c[jj] += ak * bk[jj - col0];
-                }
-            }
-            j = jend;
-        }
-    }
-}
-
-} // namespace
-
-void
-sgemmPrepacked(int M, const float *A, const PackedB &B, float *C,
-               bool accumulate)
-{
-    const int N = B.N;
-    const int K = B.K;
-    const double flops = 2.0 * M * N * K;
-#ifdef PTOLEMY_HAVE_AVX2
-    if (useAvx2()) {
-        forEachTile(M, N, flops, [&](int i0, int imax, int j0, int jmax) {
-            detail::avx2GemmTilePrepacked(i0, imax, j0, jmax, K, A,
-                                          /*a_row_stride=*/K,
-                                          /*a_elem_stride=*/1,
-                                          B.data.data(), N, C, N,
-                                          accumulate);
-        });
-        return;
-    }
-#endif
-    forEachTile(M, N, flops, [&](int i0, int imax, int j0, int jmax) {
-        scalarPrepackedTile(i0, imax, j0, jmax, K, N, A, B.data.data(), C,
-                            accumulate);
-    });
-}
-
 
 #ifdef PTOLEMY_HAVE_AVX2
 namespace

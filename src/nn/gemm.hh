@@ -18,6 +18,12 @@
  * M x N tiles and fanned out on the process-wide thread pool (or
  * whatever pool gemmPool() points at), so single-sample conv latency
  * scales with cores.
+ *
+ * The AVX2 serving forward of a conv layer whose output-channel count
+ * is a multiple of 8 skips im2col + sgemm: its transposed weights are
+ * packed once (PackedB, packBMatrixStrided) and convForwardPacked
+ * streams them. Every path folds the same ascending-k fma chain per
+ * element, so packed and per-call results are bit-identical.
  */
 
 #ifndef PTOLEMY_NN_GEMM_HH
@@ -60,10 +66,10 @@ void sgemm(int M, int N, int K, const float *A, const float *B, float *C,
            bool accumulate = false);
 
 /**
- * A B matrix [K x N] packed once into the blocked panel layout the
- * tile kernels consume (see detail::packedBLayout), 64-byte-aligned.
- * Serving-path weights are immutable, so packing them at model-build
- * time removes the per-call packBPanel copy from every forward SGEMM.
+ * A B matrix [K x N], N a multiple of 8, packed once into the blocked
+ * panel layout the AVX2 kernels consume (see detail::packedBLayout),
+ * 64-byte-aligned. Serving-path weights are immutable, so packing them
+ * at model-build time removes the per-call packing from every forward.
  */
 struct PackedB
 {
@@ -81,31 +87,16 @@ struct PackedB
     }
 };
 
-/** Pack row-major B [K x N] (leading dimension @p ldb) into @p out. */
-void packBMatrix(const float *B, int ldb, int K, int N, PackedB &out);
-
 /**
  * Pack a B matrix given arbitrary element strides: element (k, n) is
- * b[k * k_stride + n * n_stride]. This packs a transposed view without
- * materializing it — conv weights [outC x K] pack as W^T with
- * (k_stride, n_stride) = (1, K).
+ * b[k * k_stride + n * n_stride]; @p N must be a multiple of 8. This
+ * packs a transposed view without materializing it — conv weights
+ * [outC x K] pack as W^T with (k_stride, n_stride) = (1, K); a
+ * row-major matrix packs with (ldb, 1).
  */
 void packBMatrixStrided(const float *b, std::ptrdiff_t k_stride,
                         std::ptrdiff_t n_stride, int K, int N,
                         PackedB &out);
-
-/**
- * C[MxN] = A[MxK] * B from a persistent packed panel (or += when
- * @p accumulate), with N and K taken from @p B. Bit-identical to
- * sgemm(M, N, K, A, B_unpacked, C, accumulate) in both SIMD modes:
- * the AVX2 tiles skip the per-call pack but consume the exact blocked
- * layout packBPanel produced, and the scalar path replays the
- * reference kernel's BK-blocked grouped-4 accumulation order over the
- * packed panels (k-group boundaries are absolute, so per-element
- * numerics cannot shift).
- */
-void sgemmPrepacked(int M, const float *A, const PackedB &B, float *C,
-                    bool accumulate = false);
 
 /**
  * Fused packed conv forward (AVX2 serving fast path): per block of
@@ -133,26 +124,6 @@ void convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
 void im2colRowsInto(const float *in, int in_c, int ih, int iw, int k,
                     int stride, int pad, int ow, int oy0, int oy1,
                     float *col);
-
-/**
- * Process-wide switch for the persistent-packed serving path
- * (convForwardPacked / packed Linear weights). Initialized from
- * PTOLEMY_PREPACK (default on; "0" disables); benches and bench_sweep
- * flip it at runtime to measure the packed-vs-on-the-fly delta. Gates
- * *use* of packed panels only — layers still build them — so flipping
- * it is always bit-identity-safe.
- */
-bool &prepackEnabled();
-
-/**
- * Minimum task count before a tiled kernel fans out to gemmPool():
- * below it the product runs inline on the calling thread, skipping
- * pool dispatch latency that dominates the 2-3-tile shapes detectBatch
- * actually sees. From PTOLEMY_GEMM_INLINE_TILES (default 4); the FLOP
- * cutoff still applies independently. Scheduling only — results are
- * bit-identical either way.
- */
-int &gemmInlineTaskCutoff();
 
 /**
  * C[MxN] = A^T * B where A is [KxM] row-major, or += when @p accumulate.

@@ -192,9 +192,7 @@ packScratch()
 
 /**
  * Run the 6-row microkernels over one packed B panel of @p width (16
- * or 8) columns at absolute column @p j. Shared by the on-the-fly tile
- * (which just packed the panel) and the prepacked tile (persistent
- * panel) — both therefore execute the exact same kernel sequence.
+ * or 8) columns at absolute column @p j.
  */
 template <bool STRIDE1>
 inline void
@@ -269,53 +267,6 @@ gemmTileImpl(int i0, int i1, int j0, int j1, int K, const float *a_base,
     }
 }
 
-template <bool STRIDE1>
-void
-gemmTilePrepackedImpl(int i0, int i1, int j0, int j1, int K,
-                      const float *a_base, std::ptrdiff_t a_row_stride,
-                      std::ptrdiff_t a_elem_stride, const float *packed,
-                      int packedN, float *C, int ldc, bool accumulate)
-{
-    const PackedBLayout L = packedBLayout(K, packedN);
-    // Same column blocking as gemmTileImpl: full 16s, one 8, scalar
-    // tail. Tile bounds sit on multiples of TN (a multiple of 16), so
-    // the persistent panels line up exactly with what packBPanel would
-    // have produced per tile.
-    int j = j0;
-    for (; j + 16 <= j1; j += 16) {
-        const float *bp = packed + static_cast<std::size_t>(j / 16) * K * 16;
-        assert(util::isAligned(bp));
-        panelColumns<STRIDE1>(16, i0, i1, j, K, a_base, a_row_stride,
-                              a_elem_stride, bp, C, ldc, accumulate);
-    }
-    if (j + 8 <= j1) {
-        const float *bp = packed + L.off8;
-        assert(L.has8 && j == L.nFull * 16 && util::isAligned(bp));
-        panelColumns<STRIDE1>(8, i0, i1, j, K, a_base, a_row_stride,
-                              a_elem_stride, bp, C, ldc, accumulate);
-        j += 8;
-    }
-    if (j < j1) {
-        // Scalar column tail from the packed [k][tail] panel: the same
-        // fmaf fold as kernelScalarCols, reading packed rows.
-        const float *P = packed + L.offTail;
-        const int col0 = L.nFull * 16 + (L.has8 ? 8 : 0);
-        for (int i = i0; i < i1; ++i) {
-            const float *arow = a_base + i * a_row_stride;
-            float *crow = C + static_cast<std::ptrdiff_t>(i) * ldc;
-            for (int jj = j; jj < j1; ++jj) {
-                const int c = jj - col0;
-                float s = 0.0f;
-                for (int k = 0; k < K; ++k)
-                    s = std::fmaf(
-                        arow[k * (STRIDE1 ? 1 : a_elem_stride)],
-                        P[static_cast<std::size_t>(k) * L.tail + c], s);
-                crow[jj] = accumulate ? crow[jj] + s : s;
-            }
-        }
-    }
-}
-
 } // namespace
 
 void
@@ -329,22 +280,6 @@ avx2GemmTile(int i0, int i1, int j0, int j1, int K, const float *a_base,
     else
         gemmTileImpl<false>(i0, i1, j0, j1, K, a_base, a_row_stride,
                             a_elem_stride, B, ldb, C, ldc, accumulate);
-}
-
-void
-avx2GemmTilePrepacked(int i0, int i1, int j0, int j1, int K,
-                      const float *a_base, std::ptrdiff_t a_row_stride,
-                      std::ptrdiff_t a_elem_stride, const float *packed,
-                      int packedN, float *C, int ldc, bool accumulate)
-{
-    if (a_elem_stride == 1)
-        gemmTilePrepackedImpl<true>(i0, i1, j0, j1, K, a_base,
-                                    a_row_stride, 1, packed, packedN, C,
-                                    ldc, accumulate);
-    else
-        gemmTilePrepackedImpl<false>(i0, i1, j0, j1, K, a_base,
-                                     a_row_stride, a_elem_stride, packed,
-                                     packedN, C, ldc, accumulate);
 }
 
 namespace
@@ -496,25 +431,6 @@ convStripKx8(int K, const float *ap, std::ptrdiff_t a_ld, const float *wp,
                             mask, t[c]);
 }
 
-/** Scalar-fmaf channel tail (fewer than 8 channels left). */
-inline void
-convStripScalarChannels(int K, const float *ap, std::ptrdiff_t a_ld, int R,
-                        const float *P, int w, const float *bias,
-                        float *out, std::ptrdiff_t ldc)
-{
-    for (int c = 0; c < w; ++c) {
-        const float b = bias[c];
-        float *crow = out + static_cast<std::ptrdiff_t>(c) * ldc;
-        for (int r = 0; r < R; ++r) {
-            float s = 0.0f;
-            for (int k = 0; k < K; ++k)
-                s = std::fmaf(ap[static_cast<std::ptrdiff_t>(k) * a_ld + r],
-                              P[static_cast<std::size_t>(k) * w + c], s);
-            crow[r] = s + b;
-        }
-    }
-}
-
 } // namespace
 
 void
@@ -522,7 +438,7 @@ avx2ConvPackedBlock(int K, int N, const float *ap, std::ptrdiff_t a_ld,
                     int n_strips, int r_last, const float *packed,
                     const float *bias, float *out, std::ptrdiff_t ldc)
 {
-    assert(n_strips >= 1 && r_last >= 1 && r_last <= 6);
+    assert(N % 8 == 0 && n_strips >= 1 && r_last >= 1 && r_last <= 6);
     assert(a_ld >= (n_strips - 1) * 6 + r_last);
     assert(util::isAligned(packed));
     const PackedBLayout L = packedBLayout(K, N);
@@ -556,21 +472,13 @@ avx2ConvPackedBlock(int K, int N, const float *ap, std::ptrdiff_t a_ld,
         for (int s = 0; s < n_strips; ++s)
             run16(stripR(s), ap + s * 6, wp, bias + blk * 16, o + s * 6);
     }
-    int c0 = L.nFull * 16;
     if (L.has8) {
+        const int c0 = L.nFull * 16;
         const float *wp = packed + L.off8;
         assert(util::isAligned(wp));
         float *o = out + static_cast<std::ptrdiff_t>(c0) * ldc;
         for (int s = 0; s < n_strips; ++s)
             run8(stripR(s), ap + s * 6, wp, bias + c0, o + s * 6);
-        c0 += 8;
-    }
-    if (L.tail > 0) {
-        float *o = out + static_cast<std::ptrdiff_t>(c0) * ldc;
-        for (int s = 0; s < n_strips; ++s)
-            convStripScalarChannels(K, ap + s * 6, a_ld, stripR(s),
-                                    packed + L.offTail, L.tail, bias + c0,
-                                    o + s * 6, ldc);
     }
 }
 

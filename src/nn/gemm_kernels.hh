@@ -19,18 +19,17 @@ namespace ptolemy::nn::detail
 {
 
 /**
- * Blocked layout of a persistent packed B matrix [K x N]: the column
- * space is split exactly the way the tile kernels block it — 16-wide
- * panels, then one 8-wide panel when 8 <= N%16, then a <8-column
- * scalar tail — and each panel is stored [k][width] contiguous, the
- * shape packBPanel produced per call before packing became persistent.
- * Panel starts are padded up to 64-byte boundaries so every AVX2 load
- * of a panel row begins on a cache line (the backing buffer itself is
- * allocated with util::AlignedF32).
+ * Blocked layout of a persistent packed B matrix [K x N], N a multiple
+ * of 8: the column space is split exactly the way the tile kernels
+ * block it — 16-wide panels, then one 8-wide panel when N%16 == 8 —
+ * and each panel is stored [k][width] contiguous, the shape packBPanel
+ * produces per call. Panel starts are padded up to 64-byte boundaries
+ * so every AVX2 load of a panel row begins on a cache line (the backing
+ * buffer itself is allocated with util::AlignedF32).
  *
- * Both the packer (gemm.cc) and the consuming kernels (gemm_avx2.cc,
- * the scalar prepacked tile) derive offsets from this one function, so
- * layout and consumption cannot drift apart.
+ * Both the packer (gemm.cc) and the consuming kernel (gemm_avx2.cc)
+ * derive offsets from this one function, so layout and consumption
+ * cannot drift apart.
  */
 struct PackedBLayout
 {
@@ -38,9 +37,7 @@ struct PackedBLayout
     int N = 0;
     int nFull = 0;         ///< count of 16-wide panels
     bool has8 = false;     ///< one 8-wide panel after the 16s
-    int tail = 0;          ///< scalar-tail columns (0..7)
     std::size_t off8 = 0;  ///< float offset of the 8-wide panel
-    std::size_t offTail = 0; ///< float offset of the scalar tail panel
     std::size_t total = 0; ///< total floats (incl. alignment padding)
 };
 
@@ -51,6 +48,7 @@ alignFloats16(std::size_t n)
     return (n + 15u) & ~static_cast<std::size_t>(15u);
 }
 
+/** Layout of a packed [K x N] matrix; requires N % 8 == 0. */
 constexpr PackedBLayout
 packedBLayout(int K, int N)
 {
@@ -58,16 +56,13 @@ packedBLayout(int K, int N)
     L.K = K;
     L.N = N;
     L.nFull = N / 16;
-    const int rem = N - L.nFull * 16;
-    L.has8 = rem >= 8;
-    L.tail = rem - (L.has8 ? 8 : 0);
+    L.has8 = N % 16 != 0;
     // 16-wide panels are K*16 floats each — inherently 64-byte
     // multiples — so only the 8-wide panel needs explicit padding.
     L.off8 = static_cast<std::size_t>(L.nFull) * K * 16;
-    L.offTail =
+    L.total =
         L.off8 +
         (L.has8 ? alignFloats16(static_cast<std::size_t>(K) * 8) : 0);
-    L.total = L.offTail + static_cast<std::size_t>(K) * L.tail;
     return L;
 }
 
@@ -97,27 +92,11 @@ void avx2GemmTile(int i0, int i1, int j0, int j1, int K,
                   float *C, int ldc, bool accumulate);
 
 /**
- * As avx2GemmTile, but B comes pre-packed in the packedBLayout blocked
- * form (@p packed, layout derived from (K, @p packedN)) so the
- * per-tile packBPanel copy is skipped entirely — the serving path's
- * weight panels are packed once at model-build time instead of once
- * per call. Tile boundaries must sit on multiples of 16 columns (the
- * driver's TN grid guarantees this), which keeps the panel blocking
- * identical to what packBPanel produced on the fly; per-element
- * results are bit-identical to avx2GemmTile on the unpacked matrix.
- */
-void avx2GemmTilePrepacked(int i0, int i1, int j0, int j1, int K,
-                           const float *a_base,
-                           std::ptrdiff_t a_row_stride,
-                           std::ptrdiff_t a_elem_stride,
-                           const float *packed, int packedN, float *C,
-                           int ldc, bool accumulate);
-
-/**
  * Fused conv-forward block over one im2col A panel: out[i * ldc + j] =
  * bias[i] + sum_k ap[k * a_ld + j] * packed weight (k, i) for channels
- * i in [0, N) and the block's P = 6 * (n_strips - 1) + r_last output
- * positions j. @p ap is a row-major [K x P] slice of the im2col matrix
+ * i in [0, N) (N a multiple of 8) and the block's
+ * P = 6 * (n_strips - 1) + r_last output positions j. @p ap is a
+ * row-major [K x P] slice of the im2col matrix
  * with leading dimension @p a_ld (im2colRowsInto emits it per block of
  * output rows); @p packed the persistent transposed weight matrix
  * W^T [K x N] in packedBLayout form.

@@ -433,24 +433,26 @@ Network::load(const std::string &path)
     std::string sig;
     if (!readString(is, sig) || sig != signature())
         return false;
-    std::uint64_t n_bufs;
-    if (!readU64(is, n_bufs))
-        return false;
-    invalidatePackedWeights(); // the weights below replace the packed ones
+    // Every params()/state() buffer in save() order. The file is parsed
+    // completely before any of them is written, so a truncated or
+    // mismatched file leaves the network exactly as it was.
+    std::vector<std::vector<float> *> dst;
     for (auto &n : nodes) {
-        for (auto p : n.layer->params()) {
-            std::vector<float> v;
-            if (!readFloats(is, v) || v.size() != p.value->size())
-                return false;
-            *p.value = std::move(v);
-        }
-        for (auto p : n.layer->state()) {
-            std::vector<float> v;
-            if (!readFloats(is, v) || v.size() != p.value->size())
-                return false;
-            *p.value = std::move(v);
-        }
+        for (auto p : n.layer->params())
+            dst.push_back(p.value);
+        for (auto p : n.layer->state())
+            dst.push_back(p.value);
     }
+    std::uint64_t n_bufs;
+    if (!readU64(is, n_bufs) || n_bufs != dst.size())
+        return false;
+    std::vector<std::vector<float>> bufs(dst.size());
+    for (std::size_t i = 0; i < dst.size(); ++i)
+        if (!readFloats(is, bufs[i]) || bufs[i].size() != dst[i]->size())
+            return false;
+    invalidatePackedWeights(); // the weights below replace the packed ones
+    for (std::size_t i = 0; i < dst.size(); ++i)
+        *dst[i] = std::move(bufs[i]);
     return true;
 }
 

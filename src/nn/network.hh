@@ -316,7 +316,8 @@ class Network
     /** Serialize parameters + state to @p path. @return success. */
     bool save(const std::string &path);
 
-    /** Load parameters + state; fails if the signature mismatches. */
+    /** Load parameters + state; fails if the signature mismatches.
+     *  All-or-nothing: on failure no parameter or state is modified. */
     bool load(const std::string &path);
 
   private:

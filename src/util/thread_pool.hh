@@ -42,8 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/tuning.hh"
-
 namespace ptolemy
 {
 
@@ -294,9 +292,6 @@ inline ThreadPool &
 globalPool()
 {
     static ThreadPool pool([] {
-        // Honor a bench_sweep picks file before the first env read
-        // (explicit environment still wins; see util/tuning.hh).
-        ensureTuningApplied();
         if (const char *s = std::getenv("PTOLEMY_NUM_THREADS")) {
             const long n = std::strtol(s, nullptr, 10);
             if (n > 0)

@@ -66,9 +66,8 @@ TEST(ForwardBatch, ThreadPoolProducesIdenticalRecords)
 {
     // Every record must equal this SIMD mode's per-sample inferInto
     // bitwise, serial or at any pool width, in both weight layouts:
-    // unpacked (PTOLEMY_PREPACK=0 and the unpacked nets fitting uses)
-    // and packed, which puts AVX2 mode on the fused conv path
-    // DetectorModel serves with.
+    // unpacked (the nets fitting and training use) and packed, which
+    // puts AVX2 mode on the fused conv path DetectorModel serves with.
     struct SimdModeGuard
     {
         SimdMode saved = simdMode();

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 
 #include "models/zoo.hh"
@@ -141,6 +144,104 @@ TEST(Network, LoadRejectsArchitectureMismatch)
     auto other = models::makeMiniAlexNet(10);
     EXPECT_FALSE(other.load(path));
     std::remove(path.c_str());
+}
+
+/** smallNet plus a Norm2d, so the saved file also carries layer state. */
+Network
+normNet(std::uint64_t seed)
+{
+    Network net("norm", mapShape(3, 16, 16));
+    net.add(std::make_unique<Conv2d>("c1", 3, 4, 3, 1, 1));
+    net.add(std::make_unique<Norm2d>("n1", 4));
+    net.add(std::make_unique<ReLU>("r1"));
+    net.add(std::make_unique<MaxPool2d>("p1", 2));
+    net.add(std::make_unique<Flatten>("f"));
+    net.add(std::make_unique<Linear>("fc", 4 * 8 * 8, 5));
+    heInit(net, seed);
+    return net;
+}
+
+/** Every params()/state() buffer of @p net, in save() order. */
+std::vector<std::vector<float> *>
+allBuffers(Network &net)
+{
+    std::vector<std::vector<float> *> out;
+    for (int id = 0; id < net.numNodes(); ++id) {
+        for (auto p : net.layerAt(id).params())
+            out.push_back(p.value);
+        for (auto p : net.layerAt(id).state())
+            out.push_back(p.value);
+    }
+    return out;
+}
+
+std::vector<char>
+readBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, const char *data, std::size_t n)
+{
+    std::ofstream os(path, std::ios::binary);
+    os.write(data, static_cast<std::streamsize>(n));
+}
+
+TEST(Network, FailedLoadLeavesEveryBufferUnchanged)
+{
+    auto src = normNet(17);
+    const std::string good = ::testing::TempDir() + "/net_good.bin";
+    const std::string bad = ::testing::TempDir() + "/net_bad.bin";
+    ASSERT_TRUE(src.save(good));
+    const std::vector<char> bytes = readBytes(good);
+
+    // Target: different weights, non-zero biases and non-default norm
+    // running stats in every buffer.
+    auto dst = normNet(999);
+    Rng rng(5);
+    for (auto *buf : allBuffers(dst))
+        for (auto &v : *buf)
+            v = static_cast<float>(rng.uniform()) + 0.5f;
+    std::vector<std::vector<float>> before;
+    for (auto *buf : allBuffers(dst))
+        before.push_back(*buf);
+    auto expectUnchanged = [&](const char *what) {
+        const auto now = allBuffers(dst);
+        ASSERT_EQ(now.size(), before.size());
+        for (std::size_t i = 0; i < now.size(); ++i)
+            ASSERT_EQ(0, std::memcmp(now[i]->data(), before[i].data(),
+                                     before[i].size() * sizeof(float)))
+                << what << ": buffer " << i << " was modified";
+    };
+
+    // Truncated mid-buffer: early in the file, and inside the last
+    // buffer after every other one parsed.
+    for (std::size_t cut : {bytes.size() / 2, bytes.size() - 10}) {
+        writeBytes(bad, bytes.data(), cut);
+        EXPECT_FALSE(dst.load(bad)) << "cut at " << cut;
+        expectUnchanged("truncated");
+    }
+
+    // A buffer count that disagrees with the network's, all buffers
+    // intact. The count follows the length-prefixed signature.
+    std::vector<char> patched = bytes;
+    const std::size_t count_at = 8 + src.signature().size();
+    ASSERT_LT(count_at, patched.size());
+    patched[count_at] = static_cast<char>(patched[count_at] + 1);
+    writeBytes(bad, patched.data(), patched.size());
+    EXPECT_FALSE(dst.load(bad));
+    expectUnchanged("n_bufs mismatch");
+
+    // The intact file still loads, and replaces every buffer.
+    ASSERT_TRUE(dst.load(good));
+    const auto loaded = allBuffers(dst), want = allBuffers(src);
+    for (std::size_t i = 0; i < loaded.size(); ++i)
+        ASSERT_EQ(*loaded[i], *want[i]) << "buffer " << i;
+    std::remove(good.c_str());
+    std::remove(bad.c_str());
 }
 
 TEST(Network, NumParamsCountsEverything)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Persistent packed-weight serving path: bitwise identity of
- * sgemmPrepacked vs sgemm, the fused packed conv forward vs the
- * classic im2col path, im2colRowsInto vs full im2col, inline-vs-pooled
+ * Persistent packed-weight serving path: bitwise identity of the
+ * fused packed conv forward vs an unpacked twin layer (the classic
+ * im2col path), im2colRowsInto vs full im2col, inline-vs-pooled
  * scheduling, and the 64-byte panel alignment the AVX2 kernels assume.
  * Everything here asserts EXACT float equality — the packed path's
  * contract is bit-identity, not tolerance.
@@ -56,20 +56,6 @@ struct GemmPoolGuard
     ~GemmPoolGuard() { gemmPool() = saved; }
 };
 
-/** RAII guard restoring the packed-serving-path switch. */
-struct PrepackGuard
-{
-    bool saved = prepackEnabled();
-    ~PrepackGuard() { prepackEnabled() = saved; }
-};
-
-/** RAII guard restoring the inline-vs-pool task cutoff. */
-struct InlineCutoffGuard
-{
-    int saved = gemmInlineTaskCutoff();
-    ~InlineCutoffGuard() { gemmInlineTaskCutoff() = saved; }
-};
-
 std::vector<SimdMode>
 modesToTest()
 {
@@ -79,60 +65,15 @@ modesToTest()
     return modes;
 }
 
-TEST(Prepack, SgemmPrepackedBitIdenticalToOnTheFly)
-{
-    // K values cover every remainder of the kernels' K x 4 unroll and
-    // the scalar path's 128-deep k-blocking; N values cover 16-wide
-    // panels, the 8-wide panel, the scalar tail, and combinations.
-    SimdModeGuard mode_guard;
-    GemmPoolGuard pool_guard;
-    gemmPool() = nullptr;
-    Rng rng(41);
-
-    const int ms[] = {1, 5, 6, 7, 33};
-    const int ns[] = {1, 5, 8, 15, 16, 23, 37, 40, 129};
-    const int ks[] = {1, 2, 3, 4, 7, 9, 64, 130};
-    for (SimdMode mode : modesToTest()) {
-        simdMode() = mode;
-        for (int M : ms) {
-            for (int N : ns) {
-                for (int K : ks) {
-                    std::vector<float> A(static_cast<std::size_t>(M) * K);
-                    std::vector<float> B(static_cast<std::size_t>(K) * N);
-                    fillRandom(A, rng);
-                    fillRandom(B, rng);
-
-                    PackedB packed;
-                    packBMatrix(B.data(), N, K, N, packed);
-                    ASSERT_EQ(packed.K, K);
-                    ASSERT_EQ(packed.N, N);
-
-                    const std::size_t cn = static_cast<std::size_t>(M) * N;
-                    // Sweep both accumulate modes on every shape.
-                    for (bool acc : {false, true}) {
-                        std::vector<float> ref(cn, 0.25f), got(cn, 0.25f);
-                        sgemm(M, N, K, A.data(), B.data(), ref.data(), acc);
-                        sgemmPrepacked(M, A.data(), packed, got.data(), acc);
-                        ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
-                                                 cn * sizeof(float)))
-                            << "mode=" << simdModeName() << " M=" << M
-                            << " N=" << N << " K=" << K << " acc=" << acc;
-                    }
-                }
-            }
-        }
-    }
-}
-
 TEST(Prepack, StridedPackMatchesMaterializedTranspose)
 {
     // packBMatrixStrided with (k_stride, n_stride) = (1, K) packs a
     // conv weight matrix [N x K] as W^T without materializing the
-    // transpose; the panel bytes must equal packBMatrix on the
+    // transpose; the panel bytes must equal the row-major pack of the
     // explicitly transposed matrix.
     Rng rng(42);
-    const int shapes[][2] = {{1, 1},  {3, 5},   {27, 16}, {27, 37},
-                             {64, 8}, {130, 23}, {576, 40}};
+    const int shapes[][2] = {{1, 8},  {3, 24},  {27, 16}, {27, 40},
+                             {64, 8}, {130, 56}, {576, 40}};
     for (const auto &s : shapes) {
         const int K = s[0], N = s[1];
         std::vector<float> W(static_cast<std::size_t>(N) * K); // [N x K]
@@ -145,7 +86,7 @@ TEST(Prepack, StridedPackMatchesMaterializedTranspose)
 
         PackedB viaStride, viaCopy;
         packBMatrixStrided(W.data(), 1, K, K, N, viaStride);
-        packBMatrix(Wt.data(), N, K, N, viaCopy);
+        packBMatrixStrided(Wt.data(), N, 1, K, N, viaCopy);
         ASSERT_EQ(viaStride.data.size(), viaCopy.data.size());
         ASSERT_EQ(0, std::memcmp(viaStride.data.data(), viaCopy.data.data(),
                                  viaCopy.data.size() * sizeof(float)))
@@ -157,12 +98,12 @@ TEST(Prepack, PackedPanelsAreCacheLineAligned)
 {
     // The AVX2 kernels use aligned loads on every 16-wide panel row;
     // the buffer base and each panel start must sit on 64 bytes.
-    const int shapes[][2] = {{27, 64}, {576, 40}, {9, 23}, {130, 129}};
+    const int shapes[][2] = {{27, 64}, {576, 40}, {9, 24}, {130, 136}};
     for (const auto &s : shapes) {
         const int K = s[0], N = s[1];
         std::vector<float> B(static_cast<std::size_t>(K) * N, 1.0f);
         PackedB packed;
-        packBMatrix(B.data(), N, K, N, packed);
+        packBMatrixStrided(B.data(), N, 1, K, N, packed);
 
         const auto L = detail::packedBLayout(K, N);
         ASSERT_EQ(packed.data.size(), L.total);
@@ -227,15 +168,15 @@ TEST(Prepack, Im2colRowsMatchesFullIm2col)
 TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
 {
     // The end-to-end contract: a Conv2d forward with the persistent
-    // packed panel engaged produces the exact bytes of the classic
-    // im2col + sgemm + bias path. Geometries cover stride 2, 1x1
-    // kernels, zero padding, and channel counts hitting the 16-wide,
-    // 8-wide, and scalar-tail weight panels.
+    // packed panel engaged produces the exact bytes of an unpacked twin
+    // (the classic im2col + sgemm + bias path). Geometries cover stride
+    // 2, 1x1 kernels, zero padding, and channel counts hitting the
+    // 16-wide and 8-wide weight panels; 5 and 17 channels are not a
+    // multiple of 8, stay unpacked, and must give the same bytes too.
     if (!avx2Available())
         GTEST_SKIP() << "fused packed forward is AVX2-only";
     SimdModeGuard mode_guard;
     GemmPoolGuard pool_guard;
-    PrepackGuard prepack_guard;
     gemmPool() = nullptr;
     simdMode() = SimdMode::Avx2;
     Rng rng(44);
@@ -243,22 +184,23 @@ TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
     // {in_c, out_c, k, stride, pad, h, w}
     const int cases[][7] = {
         {3, 16, 3, 1, 1, 8, 8},   {3, 8, 3, 1, 1, 8, 8},
-        {3, 23, 3, 1, 1, 9, 7},   {16, 32, 3, 1, 0, 10, 10},
+        {3, 24, 3, 1, 1, 9, 7},   {16, 32, 3, 1, 0, 10, 10},
         {4, 40, 3, 2, 1, 9, 9},   {8, 5, 1, 1, 0, 6, 6},
         {2, 17, 5, 2, 2, 12, 12}, {3, 16, 5, 1, 2, 4, 1},
         {3, 64, 3, 1, 1, 32, 32}};
     for (const auto &cs : cases) {
         Conv2d conv("c", cs[0], cs[1], cs[2], cs[3], cs[4]);
+        Conv2d twin("c", cs[0], cs[1], cs[2], cs[3], cs[4]);
         fillRandom(conv.weights(), rng);
         fillRandom(conv.biases(), rng);
+        twin.weights() = conv.weights();
+        twin.biases() = conv.biases();
         conv.prepackWeights();
         const Tensor x = randomTensor(mapShape(cs[0], cs[5], cs[6]), rng);
 
         Tensor packed_out, classic_out;
-        prepackEnabled() = true;
         conv.forwardInto({&x}, packed_out, false);
-        prepackEnabled() = false;
-        conv.forwardInto({&x}, classic_out, false);
+        twin.forwardInto({&x}, classic_out, false);
 
         ASSERT_EQ(packed_out.shape(), classic_out.shape());
         ASSERT_EQ(0, std::memcmp(packed_out.data(), classic_out.data(),
@@ -271,51 +213,43 @@ TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
 
 TEST(Prepack, InlineAndPooledSchedulingBitIdentical)
 {
-    // The inline-below-cutoff dispatch is scheduling only: forcing the
-    // cutoff to extremes (always inline / always pool-eligible) across
-    // pool sizes {1, 2, 8} must not move a single bit, for both the
-    // prepacked GEMM and the fused conv forward.
+    // Pool dispatch is scheduling only: the inline reference (no pool)
+    // and pooled runs across pool sizes {1, 2, 8} must not move a
+    // single bit, for both sgemm and the fused conv forward. Both
+    // shapes clear the pool gates (6 tasks, > 2 MFLOP), so the pooled
+    // runs genuinely fan out.
     SimdModeGuard mode_guard;
     GemmPoolGuard pool_guard;
-    PrepackGuard prepack_guard;
-    InlineCutoffGuard cutoff_guard;
     Rng rng(46);
 
-    // Big enough that the FLOP cutoff passes and several row tasks
-    // exist, so both dispatch arms genuinely execute.
     const int M = 48, N = 600, K = 128;
     std::vector<float> A(static_cast<std::size_t>(M) * K);
     std::vector<float> B(static_cast<std::size_t>(K) * N);
     fillRandom(A, rng);
     fillRandom(B, rng);
-    PackedB packed;
-    packBMatrix(B.data(), N, K, N, packed);
 
     Conv2d conv("c", 8, 32, 3, 1, 1);
     fillRandom(conv.weights(), rng);
     fillRandom(conv.biases(), rng);
     conv.prepackWeights();
-    prepackEnabled() = true;
     const Tensor x = randomTensor(mapShape(8, 24, 24), rng);
 
     for (SimdMode mode : modesToTest()) {
         simdMode() = mode;
         gemmPool() = nullptr;
-        gemmInlineTaskCutoff() = 1 << 20; // force inline everywhere
         std::vector<float> ref(static_cast<std::size_t>(M) * N, 0.0f);
-        sgemmPrepacked(M, A.data(), packed, ref.data());
+        sgemm(M, N, K, A.data(), B.data(), ref.data());
         Tensor conv_ref;
         conv.forwardInto({&x}, conv_ref, false);
 
         for (unsigned threads : {1u, 2u, 8u}) {
             ThreadPool pool(threads);
             gemmPool() = &pool;
-            gemmInlineTaskCutoff() = 0; // pool-eligible at any task count
             std::vector<float> got(ref.size(), -1.0f);
-            sgemmPrepacked(M, A.data(), packed, got.data());
+            sgemm(M, N, K, A.data(), B.data(), got.data());
             ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
                                      ref.size() * sizeof(float)))
-                << "sgemmPrepacked mode=" << simdModeName()
+                << "sgemm mode=" << simdModeName()
                 << " threads=" << threads;
 
             Tensor conv_got;
@@ -332,26 +266,25 @@ TEST(Prepack, InlineAndPooledSchedulingBitIdentical)
 TEST(Prepack, LinearPackedWeightsBitIdentical)
 {
     // Linear packing is a 64-byte-aligned value copy; the gemv numerics
-    // must be frozen — exact equality with the unpacked weights, both
-    // SIMD modes, odd K remainders.
+    // must be frozen — exact equality with an unpacked twin, both SIMD
+    // modes, odd K remainders.
     SimdModeGuard mode_guard;
-    PrepackGuard prepack_guard;
     Rng rng(47);
 
     for (SimdMode mode : modesToTest()) {
         simdMode() = mode;
         for (int K : {7, 64, 129}) {
-            Linear fc("fc", K, 33);
+            Linear fc("fc", K, 33), twin("fc", K, 33);
             fillRandom(fc.weights(), rng);
             fillRandom(fc.biases(), rng);
+            twin.weights() = fc.weights();
+            twin.biases() = fc.biases();
             fc.prepackWeights();
             const Tensor x = randomTensor(flatShape(K), rng);
 
             Tensor packed_out, classic_out;
-            prepackEnabled() = true;
             fc.forwardInto({&x}, packed_out, false);
-            prepackEnabled() = false;
-            fc.forwardInto({&x}, classic_out, false);
+            twin.forwardInto({&x}, classic_out, false);
             ASSERT_EQ(0, std::memcmp(packed_out.data(), classic_out.data(),
                                      classic_out.size() * sizeof(float)))
                 << "mode=" << simdModeName() << " K=" << K;
@@ -368,29 +301,34 @@ TEST(Prepack, WeightMutationInvalidatesPackedPanel)
         GTEST_SKIP() << "fused packed forward is AVX2-only";
     SimdModeGuard mode_guard;
     GemmPoolGuard pool_guard;
-    PrepackGuard prepack_guard;
     gemmPool() = nullptr;
     simdMode() = SimdMode::Avx2;
-    prepackEnabled() = true;
     Rng rng(48);
 
     Conv2d conv("c", 3, 16, 3, 1, 1);
-    fillRandom(conv.weights(), rng);
-    fillRandom(conv.biases(), rng);
+    std::vector<float> w(conv.weights().size()), b(conv.biases().size());
+    fillRandom(w, rng);
+    fillRandom(b, rng);
+    conv.weights() = w;
+    conv.biases() = b;
     conv.prepackWeights();
     const Tensor x = randomTensor(mapShape(3, 8, 8), rng);
     Tensor before;
     conv.forwardInto({&x}, before, false);
 
     // Mutate weights; re-pack; the packed forward must track the new
-    // values and stay bit-identical to the classic path on them.
-    for (auto &w : conv.weights())
-        w += 0.125f;
+    // values and stay bit-identical to an unpacked twin holding them.
+    for (auto &v : conv.weights())
+        v += 0.125f;
+    for (auto &v : w)
+        v += 0.125f;
     conv.prepackWeights();
+    Conv2d twin("c", 3, 16, 3, 1, 1);
+    twin.weights() = w;
+    twin.biases() = b;
     Tensor after_packed, after_classic;
     conv.forwardInto({&x}, after_packed, false);
-    prepackEnabled() = false;
-    conv.forwardInto({&x}, after_classic, false);
+    twin.forwardInto({&x}, after_classic, false);
 
     ASSERT_EQ(0, std::memcmp(after_packed.data(), after_classic.data(),
                              after_classic.size() * sizeof(float)));

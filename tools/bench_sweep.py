@@ -1,25 +1,26 @@
 #!/usr/bin/env python3
-"""Sweep the compute-core knobs over perf_smoke and pick defaults.
+"""Sweep the compute-core knobs over perf_smoke and report the best.
 
 Runs the perf_smoke binary once per point of a small knob grid --
-thread count (PTOLEMY_NUM_THREADS), SIMD mode (PTOLEMY_SIMD) and the
-persistent packed-weight path (PTOLEMY_PREPACK) -- parses each run's
-BENCH_micro.json, and emits:
+thread count (PTOLEMY_NUM_THREADS) x SIMD mode (PTOLEMY_SIMD) --
+parses each run's BENCH_micro.json, and emits:
 
 * a Markdown summary table (one row per grid point, ranked by the
   selection metric) for humans and CI artifacts, and
-* a machine-readable JSON file with the picked defaults (the env block
-  of the winning run plus the metrics it won on), so a deployment or a
-  later tuning pass can consume the recommendation directly.
+* a JSON report with every row and the best grid point (its env block
+  plus the metrics it won on). It is a report only: nothing loads it
+  back, so a deployment that wants the winning knobs sets them in its
+  own environment.
 
 The selection metric is end-to-end serving throughput
 (``detect.batch_per_sec``) -- the knobs exist to serve detections, not
 to win microbenchmarks -- with conv GFLOP/s and the forward cost split
 reported alongside.
 
-``--smoke`` shrinks the grid to a four-point sanity sweep (default
-threads, both SIMD modes, packing on/off) sized for a CI leg; the full
-grid is meant for an idle machine.  Each run inherits
+``--smoke`` shrinks the grid to a four-point sanity sweep (one thread
+and the default thread count, both SIMD modes) sized for a CI leg; the
+full grid (1, 2 and 4 threads, both SIMD modes) is meant for an idle
+machine.  Each run inherits
 PTOLEMY_BENCH_MIN_TIME (or ``--min-time``), so total wall time is
 roughly grid-size x the per-run budget.
 
@@ -64,19 +65,11 @@ def dig(obj, dotted):
 def grid_points(smoke):
     """Yield knob dicts. Values of None mean 'leave the env alone'
     (the binary's built-in default)."""
-    if smoke:
-        threads = [None]
-        simd = [None, "scalar"]
-        prepack = ["1", "0"]
-    else:
-        threads = ["1", "2", "4"]
-        simd = [None, "scalar"]
-        prepack = ["1", "0"]
-    for t, s, p in itertools.product(threads, simd, prepack):
+    threads = ["1", None] if smoke else ["1", "2", "4"]
+    for t, s in itertools.product(threads, [None, "scalar"]):
         yield {
             "PTOLEMY_NUM_THREADS": t,
             "PTOLEMY_SIMD": s,
-            "PTOLEMY_PREPACK": p,
         }
 
 
@@ -85,7 +78,6 @@ def shown(knobs):
     return {
         "threads": knobs["PTOLEMY_NUM_THREADS"] or "auto",
         "simd": knobs["PTOLEMY_SIMD"] or "avx2",
-        "prepack": knobs["PTOLEMY_PREPACK"],
     }
 
 
@@ -125,7 +117,7 @@ def fmt(v):
 
 
 def write_markdown(path, rows, pick, smoke, min_time):
-    cols = ["threads", "simd", "prepack"]
+    cols = ["threads", "simd"]
     metrics = [k.split(".", 1)[1] for k in REPORT_KEYS]
     with open(path, "w") as fh:
         fh.write("# perf_smoke knob sweep\n\n")
@@ -139,7 +131,7 @@ def write_markdown(path, rows, pick, smoke, min_time):
             cells = [row["knobs"][c] for c in cols]
             cells += [fmt(row["metrics"].get(k)) for k in REPORT_KEYS]
             fh.write("| " + " | ".join(cells) + " |\n")
-        fh.write("\nPicked defaults (best "
+        fh.write("\nBest grid point (highest "
                  f"`{SELECT_KEY}`): ")
         fh.write(", ".join(f"{c}={pick['knobs'][c]}" for c in cols))
         fh.write(f" at {fmt(pick['metrics'].get(SELECT_KEY))}"
@@ -158,7 +150,7 @@ def main(argv):
     ap.add_argument("--out-md", default="BENCH_sweep.md",
                     help="Markdown summary output path")
     ap.add_argument("--out-json", default="BENCH_sweep_picks.json",
-                    help="picked-defaults JSON output path")
+                    help="JSON report output path")
     args = ap.parse_args(argv)
 
     binary = os.path.join(args.build_dir, "perf_smoke")
@@ -208,7 +200,7 @@ def main(argv):
           f"best {SELECT_KEY} = "
           f"{fmt(pick['metrics'].get(SELECT_KEY))} with "
           + ", ".join(f"{c}={pick['knobs'][c]}"
-                      for c in ("threads", "simd", "prepack")))
+                      for c in ("threads", "simd")))
     return 1 if failures else 0
 
 
