@@ -1,10 +1,10 @@
 /**
  * @file
  * Hot-path perf smoke: conv GFLOP/s (GEMM vs naive reference), path
- * extractions/sec (single-stream and pool-parallel extractBatch vs the
- * legacy allocate-and-sort strategy), forward+backward passes/sec,
- * data-parallel SGD samples/sec (pooled and 1-thread), and bit-vector
- * similarity ops/sec. Emits BENCH_micro.json — including the thread
+ * extractions/sec (single-stream vs the legacy allocate-and-sort
+ * strategy), forward+backward passes/sec, data-parallel SGD
+ * samples/sec (pooled and 1-thread), and bit-vector similarity
+ * ops/sec. Emits BENCH_micro.json — including the thread
  * count, SIMD mode and core count the numbers were taken under — so
  * every PR records a comparable perf trajectory, and counts heap
  * allocations inside the steady-state extract, backward and training
@@ -263,7 +263,6 @@ extractionNet()
 struct ExtractBenchResult
 {
     double newPerSec = 0.0;
-    double batchPerSec = 0.0;
     double legacyPerSec = 0.0;
     std::size_t allocsPerExtract = 0;
     std::size_t pathBits = 0;
@@ -317,18 +316,6 @@ benchExtraction(double min_time)
     const std::size_t allocs_after = g_allocs.load(std::memory_order_relaxed);
     r.newPerSec = 1.0 / new_spc;
     r.allocsPerExtract = calls ? (allocs_after - allocs_before) / calls : 0;
-
-    // Pool-parallel batched extraction (the detector-evaluation path):
-    // whole batches per call, one workspace per pool slot.
-    {
-        ptolemy::ThreadPool &pool = ptolemy::globalPool();
-        path::BatchExtractionWorkspace bws;
-        std::vector<BitVector> out;
-        ex.extractBatch(recs, out, bws, &pool); // warm per-slot buffers
-        const double batch_spc = secsPerCall(
-            [&] { ex.extractBatch(recs, out, bws, &pool); }, min_time);
-        r.batchPerSec = static_cast<double>(kSamples) / batch_spc;
-    }
 
     // Legacy strategy (pre-refactor behavior): fresh workspace per call
     // (per-node importance lists and dedup flags reallocated every time)
@@ -1092,7 +1079,6 @@ main(int argc, char **argv)
     j.kv("model", "3conv+2fc on 3x32x32, theta=0.5");
     j.kv("samples", ext.numSamples);
     j.kv("extractions_per_sec", ext.newPerSec);
-    j.kv("batch_extractions_per_sec", ext.batchPerSec);
     j.kv("legacy_extractions_per_sec", ext.legacyPerSec);
     j.kv("speedup", ext.newPerSec / ext.legacyPerSec);
     j.kv("allocs_per_extract", ext.allocsPerExtract);
@@ -1223,8 +1209,8 @@ main(int argc, char **argv)
               << " GFLOP/s (" << conv.gemmGflops / conv.naiveGflops
               << "x)\n"
               << "extraction BwCu: " << ext.newPerSec
-              << " extractions/s single-stream, " << ext.batchPerSec
-              << "/s batched (legacy " << ext.legacyPerSec << "/s, "
+              << " extractions/s single-stream (legacy "
+              << ext.legacyPerSec << "/s, "
               << ext.newPerSec / ext.legacyPerSec << "x), "
               << ext.allocsPerExtract << " allocs per extract\n"
               << "backward: " << bwd.passesPerSec

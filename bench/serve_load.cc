@@ -289,7 +289,8 @@ probeTelemetryConfig()
 {
     telemetry::TelemetryConfig tcfg;
     tcfg.numClasses = 10;
-    tcfg.slots = 8; // ≥ any pool width used here
+    // Covers the global pool every section here runs on.
+    tcfg.slots = std::max<std::size_t>(8, globalPool().size());
     tcfg.windowRecords = 1u << 30; // manual seal
     return tcfg;
 }
@@ -775,7 +776,7 @@ runSoak(ServeWorld &w)
     {
         telemetry::TelemetryConfig tcfg;
         tcfg.numClasses = 10;
-        tcfg.slots = 8;
+        tcfg.slots = std::max<std::size_t>(8, globalPool().size());
         tcfg.windowRecords = 1u << 30; // sealed manually per phase
         telemetry::TelemetryHub hub(tcfg);
 

@@ -37,7 +37,7 @@ AdaptiveActivationAttack::runBatch(nn::Network &net,
     zNodes.assign(weighted.begin() + first, weighted.end());
 
     tp.parallelForWithTid(xs.size(), [&](std::size_t si, unsigned tid) {
-        auto &sl = scratch.slot(tid);
+        auto &sl = scratch.slots[tid];
         const nn::Tensor &x = *xs[si];
         const std::size_t label = labels[si];
 

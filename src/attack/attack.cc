@@ -62,8 +62,7 @@ sampleKey(std::uint64_t seed, std::uint64_t sample_index)
 void
 AttackScratch::prepare(nn::Network &net, ThreadPool &pool)
 {
-    if (slots.size() < pool.size())
-        slots.resize(pool.size());
+    slots.growTo(pool.size());
     // Build the parameter index before the fan-out: backward passes
     // from concurrent slots may read it but must never build it.
     net.flatParams();
@@ -120,7 +119,7 @@ lossInputGradientBatch(nn::Network &net,
     pool.parallelForWithTid(xs.size(), [&](std::size_t i, unsigned tid) {
         if (!active.empty() && !active[i])
             return;
-        auto &sl = scratch.slot(tid);
+        auto &sl = scratch.slots[tid];
         net.forwardInto(*xs[i], sl.rec, /*train=*/false, sl.arena);
         const std::size_t pred = sl.rec.predictedClass();
         if (!preds_out.empty())

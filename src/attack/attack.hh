@@ -40,11 +40,7 @@
 #include "nn/loss.hh"
 #include "nn/network.hh"
 #include "nn/tensor.hh"
-
-namespace ptolemy
-{
-class ThreadPool;
-}
+#include "util/thread_pool.hh"
 
 namespace ptolemy::attack
 {
@@ -93,7 +89,7 @@ struct AttackScratch
         std::vector<std::uint8_t> flags; ///< per-element marks
     };
 
-    std::vector<Slot> slots;
+    SlotTable<Slot> slots;
 
     /**
      * Size the slot table for @p pool and warm the network's parameter
@@ -101,15 +97,6 @@ struct AttackScratch
      * Never shrinks (warmed buffers are kept).
      */
     void prepare(nn::Network &net, ThreadPool &pool);
-
-    /** Slot for the executing thread. Out-of-range ids (a nested
-     *  parallel section running inline under a foreign worker's id)
-     *  clamp to slot 0, which is safe because inline sections are
-     *  single-threaded by construction. */
-    Slot &slot(unsigned tid)
-    {
-        return slots[tid < slots.size() ? tid : 0];
-    }
 };
 
 /**

@@ -18,7 +18,7 @@ CarliniWagnerL2::runBatch(nn::Network &net,
     ThreadPool &tp = pool();
     scratch.prepare(net, tp);
     tp.parallelForWithTid(xs.size(), [&](std::size_t si, unsigned tid) {
-        auto &sl = scratch.slot(tid);
+        auto &sl = scratch.slots[tid];
         const nn::Tensor &x = *xs[si];
         const std::size_t label = labels[si];
 

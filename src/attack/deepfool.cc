@@ -21,7 +21,7 @@ DeepFool::runBatch(nn::Network &net, std::span<const nn::Tensor *const> xs,
     ThreadPool &tp = pool();
     scratch.prepare(net, tp);
     tp.parallelForWithTid(xs.size(), [&](std::size_t si, unsigned tid) {
-        auto &sl = scratch.slot(tid);
+        auto &sl = scratch.slots[tid];
         const nn::Tensor &x = *xs[si];
         const std::size_t label = labels[si];
 

@@ -87,7 +87,7 @@ iterativeLinfBatch(nn::Network &net, std::span<const nn::Tensor *const> xs,
     pool.parallelForWithTid(n, [&](std::size_t i, unsigned tid) {
         AttackResult &r = results[i];
         if (st.active[i]) {
-            auto &sl = scratch.slot(tid);
+            auto &sl = scratch.slots[tid];
             net.forwardInto(st.advs[i], sl.rec, /*train=*/false, sl.arena);
             r.success = sl.rec.predictedClass() != labels[i];
             st.iters[i] = budget.maxIters;
@@ -117,7 +117,7 @@ Fgsm::runBatch(nn::Network &net, std::span<const nn::Tensor *const> xs,
     lossInputGradientBatch(net, xs, labels, {grads.data(), n}, scratch,
                            tp);
     tp.parallelForWithTid(n, [&](std::size_t i, unsigned tid) {
-        auto &sl = scratch.slot(tid);
+        auto &sl = scratch.slots[tid];
         AttackResult &r = results[i];
         r.adversarial = *xs[i]; // copy-assign reuses the buffer
         signStep(r.adversarial, grads[i], budget.epsilon);

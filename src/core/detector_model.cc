@@ -1,7 +1,7 @@
 #include "detector_model.hh"
 
+#include <cmath>
 #include <fstream>
-#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -27,6 +27,35 @@ DetectorModel::DetectorModel(const nn::Network &net_ref,
     // filling the layers' packed-weight caches here is race-free; every
     // serving forward after this point is a pure read of the panels.
     net_ref.prepackForServing();
+}
+
+std::size_t
+DetectorModel::pathInto(const nn::Tensor &x, DetectScratch &s,
+                        BitVector &bits) const
+{
+    net->inferInto(x, s.rec);
+    pathExtractor.extractInto(s.rec, s.ws, bits);
+    return s.rec.predictedClass();
+}
+
+void
+DetectorModel::detectInto(const nn::Tensor &x, DetectScratch &s,
+                          Decision &d) const
+{
+    // Inference, extraction, canary comparison and forest scoring
+    // back-to-back against one scratch, so the recorded activations
+    // are still cache-hot when the extractor ranks them.
+    d.predictedClass = pathInto(x, s, s.path);
+    path::computeSimilarityInto(s.path, store.classPath(d.predictedClass),
+                                pathExtractor.layout(), d.features);
+    d.features.toVectorInto(s.feat);
+    d.score = rf.predictProb(s.feat);
+    // Poisoned activation: a NaN/Inf upstream propagated into the
+    // score. Every comparison against a NaN is false, so
+    // `score >= 0.5` would silently wave the sample through — fail
+    // SAFE instead. Telemetry routes the non-finite score to its typed
+    // poison counter (never a bin).
+    d.adversarial = !std::isfinite(d.score) || d.score >= 0.5;
 }
 
 bool
@@ -117,22 +146,24 @@ template <class Admit, class Visit>
 void
 DetectorBuilder::forEachPath(std::size_t n, Admit &&admit, Visit &&visit)
 {
-    ThreadPool *pool = &globalPool();
-    const std::size_t chunk = std::max<std::size_t>(8, 4 * pool->size());
+    ThreadPool &pool = globalPool();
+    const std::size_t chunk = std::max<std::size_t>(8, 4 * pool.size());
+    slots.growTo(pool.size());
     chunkXs.clear();
     chunkIdx.clear();
 
     auto flush = [&] {
         if (chunkXs.empty())
             return;
-        mdl.network().forwardBatch(
-            std::span<const nn::Tensor *const>(chunkXs.data(),
-                                               chunkXs.size()),
-            chunkRecs, pool);
-        mdl.pathExtractor.extractBatch(chunkRecs, chunkPaths, chunkBws,
-                                       pool);
+        chunkPred.resize(chunkXs.size());
+        chunkPaths.resize(chunkXs.size());
+        pool.parallelForWithTid(
+            chunkXs.size(), [&](std::size_t k, unsigned tid) {
+                chunkPred[k] =
+                    mdl.pathInto(*chunkXs[k], slots[tid], chunkPaths[k]);
+            });
         for (std::size_t k = 0; k < chunkIdx.size(); ++k)
-            visit(chunkIdx[k], chunkRecs[k], chunkPaths[k]);
+            visit(chunkIdx[k], chunkPred[k], chunkPaths[k]);
         chunkXs.clear();
         chunkIdx.clear();
     };
@@ -177,11 +208,10 @@ DetectorBuilder::profileClassPaths(const nn::Dataset &train,
         [&](std::size_t i) -> const nn::Tensor * {
             return has_room(train[i].label) ? &train[i].input : nullptr;
         },
-        [&](std::size_t i, const nn::Network::Record &rec,
-            const BitVector &path) {
+        [&](std::size_t i, std::size_t pred, const BitVector &path) {
             const std::size_t label = train[i].label;
             // Only correct predictions define the canary.
-            if (has_room(label) && rec.predictedClass() == label) {
+            if (has_room(label) && pred == label) {
                 mdl.store.aggregate(label, path);
                 ++aggregated;
             }
@@ -199,9 +229,7 @@ DetectorBuilder::featuresBatch(const std::vector<nn::Tensor> &xs,
         predicted->resize(xs.size());
     forEachPath(
         xs.size(), [&](std::size_t i) { return &xs[i]; },
-        [&](std::size_t i, const nn::Network::Record &rec,
-            const BitVector &path) {
-            const std::size_t pred = rec.predictedClass();
+        [&](std::size_t i, std::size_t pred, const BitVector &path) {
             if (predicted)
                 (*predicted)[i] = pred;
             rows[i] = path::computeSimilarity(path,

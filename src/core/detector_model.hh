@@ -39,6 +39,7 @@
 #include "nn/trainer.hh"
 #include "path/class_path.hh"
 #include "path/extractor.hh"
+#include "util/thread_pool.hh"
 
 namespace ptolemy::core
 {
@@ -68,6 +69,20 @@ struct Decision
     bool adversarial = false;
     double score = 0.0; ///< forest probability of "adversarial"
     path::SimilarityFeatures features;
+};
+
+/**
+ * Scratch for one in-flight detection: the recorded inference, the
+ * extraction workspace, the path bits and the feature vector. Reuse one
+ * across calls for an allocation-free steady state; keep one per pool
+ * slot (SlotTable) to detect concurrently.
+ */
+struct DetectScratch
+{
+    nn::Network::Record rec;
+    path::ExtractionWorkspace ws;
+    BitVector path;
+    std::vector<double> feat;
 };
 
 /**
@@ -110,6 +125,25 @@ class DetectorModel
 
     /** Variant tag, e.g. "BwCu". */
     std::string variantName() const { return config().variantName(); }
+
+    /**
+     * Inference + path extraction for one input: records the inference
+     * in s.rec, extracts with s.ws and writes the path into @p bits.
+     * This is the one per-sample step both profiling and serving run,
+     * so canary paths and served paths come from the same code.
+     * @return the predicted class.
+     */
+    std::size_t pathInto(const nn::Tensor &x, DetectScratch &s,
+                         BitVector &bits) const;
+
+    /**
+     * Full online pipeline for one input (paper Fig. 4 bottom):
+     * pathInto, then canary comparison against the predicted class's
+     * path and forest scoring. A non-finite score (a NaN/Inf
+     * activation upstream) fails safe as adversarial.
+     */
+    void detectInto(const nn::Tensor &x, DetectScratch &s,
+                    Decision &d) const;
 
     /**
      * Serialize the fitted artifacts (architecture signature, extraction
@@ -201,22 +235,22 @@ class DetectorBuilder
      * The batched fitting pipeline behind profileClassPaths and
      * featuresBatch. Walks inputs 0..n-1 in order; @p admit(i) returns
      * a borrowed pointer to input i, or nullptr to skip it. Admitted
-     * inputs gather into chunks of max(8, 4 x pool width) — bounding
-     * resident memory to a few pool-widths of Records — and each chunk
-     * is forwarded and extracted on the process-wide pool. Then
-     * @p visit(i, rec, path) runs for each admitted input of the chunk
-     * in order, before the next input is admitted.
+     * inputs gather into chunks of max(8, 4 x pool width), and each
+     * chunk runs DetectorModel::pathInto per input on the process-wide
+     * pool over per-slot scratch. Then @p visit(i, pred, path) runs for
+     * each admitted input of the chunk in order, before the next input
+     * is admitted.
      */
     template <class Admit, class Visit>
     void forEachPath(std::size_t n, Admit &&admit, Visit &&visit);
 
     DetectorModel mdl;
-    // Per-chunk scratch of forEachPath, reused across chunks and calls.
+    // Scratch of forEachPath, reused across chunks and calls.
+    SlotTable<DetectScratch> slots;
     std::vector<const nn::Tensor *> chunkXs;
     std::vector<std::size_t> chunkIdx;
-    std::vector<nn::Network::Record> chunkRecs;
+    std::vector<std::size_t> chunkPred;
     std::vector<BitVector> chunkPaths;
-    path::BatchExtractionWorkspace chunkBws;
 };
 
 } // namespace ptolemy::core

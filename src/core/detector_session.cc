@@ -1,7 +1,6 @@
 #include "detector_session.hh"
 
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "telemetry/hub.hh"
@@ -10,46 +9,23 @@
 namespace ptolemy::core
 {
 
-DetectorSession::DetectorSession(const DetectorModel &model)
-    : mdl(&model), slots(1)
+DetectorSession::DetectorSession(const DetectorModel &model) : mdl(&model)
 {
+    slots.growTo(1);
 }
 
 void
-DetectorSession::detectInto(const nn::Tensor &x, Decision &d, Slot &s)
+DetectorSession::detectInto(const nn::Tensor &x, Decision &d, unsigned tid)
 {
-    // The fused per-sample pipeline: inference, extraction, canary
-    // comparison and forest scoring back-to-back against one slot's
-    // scratch, so the recorded activations are still cache-hot when
-    // the extractor ranks them. Bit-identical to the historical
-    // sequential pipeline: same float ops, same order.
-    mdl->network().inferInto(x, s.rec);
-    d.predictedClass = s.rec.predictedClass();
-    mdl->extractor().extractInto(s.rec, s.ws, s.path);
-    path::computeSimilarityInto(
-        s.path, mdl->classPaths().classPath(d.predictedClass),
-        mdl->extractor().layout(), d.features);
-    d.features.toVectorInto(s.feat);
-    d.score = mdl->forest().predictProb(s.feat);
-    if (!std::isfinite(d.score)) {
-        // Poisoned activation: a NaN/Inf somewhere upstream propagated
-        // into the score. Every comparison against a NaN is false, so
-        // `score >= 0.5` would silently wave the sample through —
-        // fail SAFE instead and flag it. Telemetry below routes the
-        // non-finite score to its typed poison counter (never a bin),
-        // so sketches and quantiles stay uncorrupted and the drift
-        // detector reports the poisoning as its own event class.
-        d.adversarial = true;
-    } else {
-        d.adversarial = d.score >= 0.5;
-    }
+    const unsigned slot = slots.index(tid);
+    DetectScratch &s = slots[slot];
+    mdl->detectInto(x, s, d);
     if (hub != nullptr) {
-        // Shard index = this slot's index, so concurrent loop bodies
+        // Shard index = the slot index, so concurrent loop bodies
         // (distinct slots by the pool's contract) write disjoint
         // shards. Integer counters only: Decisions and all sealed
         // aggregates stay bit-identical at any thread count.
-        hub->ingest(static_cast<unsigned>(&s - slots.data()), d.score,
-                    d.predictedClass, d.adversarial,
+        hub->ingest(slot, d.score, d.predictedClass, d.adversarial,
                     1.0 - d.features.overall, &s.path);
     }
 }
@@ -58,7 +34,7 @@ Decision
 DetectorSession::detect(const nn::Tensor &x)
 {
     Decision d;
-    detectInto(x, d, slots[0]);
+    detectInto(x, d, 0);
     return d;
 }
 
@@ -80,12 +56,11 @@ DetectorSession::detectBatch(std::span<const nn::Tensor *const> xs,
         return;
     if (!pool)
         pool = &globalPool();
-    // Grow (never shrink) the slot table to the pool width so warmed
-    // buffers survive pool changes.
-    if (slots.size() < pool->size())
-        slots.resize(pool->size());
+    if (hub != nullptr)
+        hub->requireCovers(*pool, "DetectorSession::detectBatch");
+    slots.growTo(pool->size());
     pool->parallelForWithTid(xs.size(), [&](std::size_t i, unsigned tid) {
-        detectInto(*xs[i], out[i], slot(tid));
+        detectInto(*xs[i], out[i], tid);
     });
 }
 
@@ -107,7 +82,7 @@ std::vector<double>
 DetectorSession::featuresFor(const nn::Network::Record &rec,
                              path::ExtractionTrace *trace)
 {
-    Slot &s = slots[0];
+    DetectScratch &s = slots[0];
     mdl->extractor().extractInto(rec, s.ws, s.path, trace);
     const auto &pc = mdl->classPaths().classPath(rec.predictedClass());
     return path::computeSimilarity(s.path, pc, mdl->extractor().layout())

@@ -30,11 +30,6 @@
 
 #include "core/detector_model.hh"
 
-namespace ptolemy
-{
-class ThreadPool;
-}
-
 namespace ptolemy::telemetry
 {
 class TelemetryHub;
@@ -73,9 +68,10 @@ class DetectorSession
      * Contract: @p out must pair up with @p xs one-to-one —
      * out.size() == xs.size(). A mismatch is a caller bug: it
      * debug-asserts, and throws std::invalid_argument in release
-     * builds (never writes out of bounds). An empty @p xs is an
-     * explicit no-op: the session returns immediately without touching
-     * the pool or growing any scratch.
+     * builds (never writes out of bounds). So does an attached
+     * telemetry hub with fewer slots than @p pool is wide. An empty
+     * @p xs is an explicit no-op: the session returns immediately
+     * without touching the pool or growing any scratch.
      *
      * @param xs borrowed batch inputs.
      * @param out one Decision per input; out.size() must equal
@@ -98,9 +94,11 @@ class DetectorSession
      * Ingestion is a handful of integer counter bumps per record and
      * never changes a Decision; scores stay bit-identical with
      * telemetry attached or not. The hub is borrowed and must outlive
-     * the session (or be detached first). The hub should be built with
+     * the session (or be detached first). The hub must be built with
      * at least as many slots as the widest pool this session fans out
-     * on; extra slots are harmless (they merge in as empty shards).
+     * on — detectBatch throws std::invalid_argument otherwise, since
+     * two threads would share a shard — and extra slots are harmless
+     * (they merge in as empty shards).
      */
     void attachTelemetry(telemetry::TelemetryHub *h) { hub = h; }
     telemetry::TelemetryHub *telemetryHub() const { return hub; }
@@ -115,32 +113,15 @@ class DetectorSession
     double score(const nn::Network::Record &rec);
 
   private:
-    /** Per-pool-slot scratch for the fused batch pipeline. Slot 0 also
-     *  serves single-stream detect(), so both paths share warm
-     *  buffers. */
-    struct Slot
-    {
-        nn::Network::Record rec;
-        path::ExtractionWorkspace ws;
-        BitVector path;
-        std::vector<double> feat;
-    };
-
-    /** Slot for the executing thread; out-of-range ids (a nested
-     *  parallel section running inline under a foreign worker's id)
-     *  clamp to slot 0, which is safe because inline sections are
-     *  single-threaded by construction. */
-    Slot &slot(unsigned tid)
-    {
-        return slots[tid < slots.size() ? tid : 0];
-    }
-
-    /** The shared per-sample pipeline behind detect and detectBatch. */
-    void detectInto(const nn::Tensor &x, Decision &d, Slot &s);
+    /** DetectorModel::detectInto on @p tid's slot, plus telemetry. */
+    void detectInto(const nn::Tensor &x, Decision &d, unsigned tid);
 
     const DetectorModel *mdl;
     telemetry::TelemetryHub *hub = nullptr; ///< borrowed; may be null
-    std::vector<Slot> slots;                ///< grown to pool width, kept warm
+    /** Per-pool-slot scratch, grown to pool width and kept warm. Slot 0
+     *  also serves single-stream detect(), so both paths share warm
+     *  buffers. */
+    SlotTable<DetectScratch> slots;
 };
 
 } // namespace ptolemy::core

@@ -2,8 +2,6 @@
 
 #include <array>
 
-#include "path/class_path.hh"
-
 namespace ptolemy::hw
 {
 
@@ -37,10 +35,8 @@ runFunctional(const isa::Program &prog, const core::DetectorModel &model,
     // the branchless argmax scan DetectorSession uses — both pick the
     // identical ranked prefix, so agreement here is a genuine
     // cross-check rather than the same code run twice.
-    path::ExtractionWorkspace ws;
-    ws.referenceSort = true;
-    nn::Network::Record rec;
-    std::vector<double> feat;
+    core::DetectScratch scratch;
+    scratch.ws.referenceSort = true;
 
     std::size_t next_input = 0;
     std::size_t pc = 0;
@@ -72,22 +68,13 @@ runFunctional(const isa::Program &prog, const core::DetectorModel &model,
             // construction instructions before it produced the recorded
             // activations and the selected path; realize them now
             // against the model and score exactly the way
-            // DetectorSession::finishDetect does.
+            // DetectorModel::detectInto does for a session.
             if (next_input >= inputs.size())
                 return res; // batch program wider than the input set
-            model.network().inferInto(*inputs[next_input++], rec);
             core::Decision d;
-            d.predictedClass = rec.predictedClass();
-            BitVector path;
-            model.extractor().extractInto(rec, ws, path);
-            path::computeSimilarityInto(
-                path, model.classPaths().classPath(d.predictedClass),
-                model.extractor().layout(), d.features);
-            d.features.toVectorInto(feat);
-            d.score = model.forest().predictProb(feat);
-            d.adversarial = d.score >= 0.5;
+            model.detectInto(*inputs[next_input++], scratch, d);
             regs[ins.r2] = d.adversarial ? 1 : 0;
-            res.paths.push_back(std::move(path));
+            res.paths.push_back(scratch.path);
             res.decisions.push_back(std::move(d));
             ++pc;
             break;

@@ -169,12 +169,12 @@ class Network
      * out over a thread pool. Records from a batch are full records:
      * any of them may be handed to backward() afterwards.
      *
-     * This is the network's one batched inference path, shared by
-     * fitting and serving: DetectorBuilder's profiling and feature
-     * passes call it directly, and DetectorSession::detectBatch runs
-     * the same per-sample inferInto fused with extraction on the pool.
-     * Each record is bit-identical to inferInto on its sample, at any
-     * batch size or thread count.
+     * This is the network's one batched inference path, used by
+     * absolute-threshold calibration, attack-pair evaluation and the
+     * benches. Fitting and serving do not call it: both run
+     * DetectorModel::pathInto / detectInto, the per-sample inferInto
+     * fused with extraction on the pool. Each record is bit-identical
+     * to inferInto on its sample, at any batch size or thread count.
      *
      * @param xs batch inputs.
      * @param recs resized to xs.size(); per-sample records (buffers are

@@ -46,7 +46,7 @@ Trainer::trainInto(Network &net, const Dataset &data,
     const std::size_t state_sz = net.trainStateSize();
     const std::size_t per_lane = (batch + nlanes - 1) / nlanes;
 
-    slots.resize(pool.size());
+    slots.growTo(pool.size());
     lanes.resize(nlanes);
     for (auto &ln : lanes) {
         net.allocParamGrads(ln.paramGrads);
@@ -98,10 +98,7 @@ Trainer::trainInto(Network &net, const Dataset &data,
             // (deterministic).
             pool.parallelForWithTid(nlanes, [&](std::size_t lane,
                                                 unsigned tid) {
-                // A nested/inline run may carry a foreign slot id;
-                // clamping is safe there because inline sections are
-                // single-threaded by construction.
-                Slot &sc = slots[tid < slots.size() ? tid : 0];
+                Slot &sc = slots[tid];
                 Lane &ln = lanes[lane];
                 ln.lossSum = 0.0;
                 ln.correct = 0;

@@ -24,11 +24,7 @@
 #include "nn/loss.hh"
 #include "nn/network.hh"
 #include "nn/tensor.hh"
-
-namespace ptolemy
-{
-class ThreadPool;
-}
+#include "util/thread_pool.hh"
 
 namespace ptolemy::nn
 {
@@ -119,7 +115,7 @@ class Trainer
     std::vector<std::vector<float>> velocity; ///< per-parameter momentum
     // Persistent scratch: reused across train() calls so repeated
     // training (and the perf harness) allocates only on first use.
-    std::vector<Slot> slots;
+    SlotTable<Slot> slots;
     std::vector<Lane> lanes;
     std::vector<std::size_t> order;
 };

@@ -112,74 +112,30 @@ PathExtractor::extractInto(const nn::Network::Record &rec,
         trace->pathBits = bits.popcount();
 }
 
-void
-PathExtractor::extractBatch(const std::vector<nn::Network::Record> &recs,
-                            std::vector<BitVector> &out,
-                            BatchExtractionWorkspace &bws,
-                            ThreadPool *pool) const
-{
-    out.resize(recs.size());
-    const unsigned slots = pool ? pool->size() : 1;
-    if (bws.perThread.size() < slots)
-        bws.perThread.resize(slots);
-    if (pool && pool->size() > 1 && recs.size() > 1) {
-        // extractInto only mutates its workspace and output BitVector;
-        // the extractor, layout and records are read-only, so distinct
-        // (slot workspace, out[i]) pairs make concurrent samples safe.
-        pool->parallelForWithTid(
-            recs.size(), [&](std::size_t i, unsigned tid) {
-                extractInto(recs[i], bws.perThread[tid], out[i]);
-            });
-        return;
-    }
-    for (std::size_t i = 0; i < recs.size(); ++i)
-        extractInto(recs[i], bws.perThread[0], out[i]);
-}
-
-std::vector<BitVector>
-PathExtractor::extractBatch(const std::vector<nn::Network::Record> &recs,
-                            ThreadPool *pool) const
-{
-    BatchExtractionWorkspace bws;
-    std::vector<BitVector> out;
-    extractBatch(recs, out, bws, pool);
-    return out;
-}
-
 ExtractionTrace
 PathExtractor::profileBatch(const std::vector<nn::Network::Record> &recs,
-                            std::vector<BitVector> &out,
-                            BatchExtractionWorkspace &bws,
-                            ThreadPool *pool) const
+                            ThreadPool *pool,
+                            std::vector<BitVector> *paths) const
 {
+    std::vector<BitVector> local;
+    std::vector<BitVector> &out = paths ? *paths : local;
     out.resize(recs.size());
     std::vector<ExtractionTrace> traces(recs.size());
-    const unsigned slots = pool ? pool->size() : 1;
-    if (bws.perThread.size() < slots)
-        bws.perThread.resize(slots);
-    if (pool && pool->size() > 1 && recs.size() > 1) {
-        // Same safety argument as extractBatch: per-sample traces are
-        // indexed by i, so the averaged result is order-independent of
-        // pool scheduling.
-        pool->parallelForWithTid(
-            recs.size(), [&](std::size_t i, unsigned tid) {
-                extractInto(recs[i], bws.perThread[tid], out[i],
-                            &traces[i]);
-            });
-    } else {
+    SlotTable<ExtractionWorkspace> ws;
+    ws.growTo(pool ? pool->size() : 1);
+    // extractInto only mutates its workspace, output path and trace;
+    // the extractor, layout and records are read-only, and per-sample
+    // outputs are indexed by i, so the result is independent of pool
+    // scheduling.
+    auto one = [&](std::size_t i, unsigned tid) {
+        extractInto(recs[i], ws[tid], out[i], &traces[i]);
+    };
+    if (pool)
+        pool->parallelForWithTid(recs.size(), one);
+    else
         for (std::size_t i = 0; i < recs.size(); ++i)
-            extractInto(recs[i], bws.perThread[0], out[i], &traces[i]);
-    }
+            one(i, 0);
     return averageTraces(traces);
-}
-
-ExtractionTrace
-PathExtractor::profileBatch(const std::vector<nn::Network::Record> &recs,
-                            ThreadPool *pool) const
-{
-    BatchExtractionWorkspace bws;
-    std::vector<BitVector> out;
-    return profileBatch(recs, out, bws, pool);
 }
 
 void

@@ -62,16 +62,6 @@ struct ExtractionWorkspace
 };
 
 /**
- * Scratch for extractBatch: one ExtractionWorkspace per pool slot so
- * concurrent extractions never share mutable state. Reuse one instance
- * across batches for an allocation-free steady state.
- */
-struct BatchExtractionWorkspace
-{
-    std::vector<ExtractionWorkspace> perThread;
-};
-
-/**
  * Extracts activation paths from recorded forward passes.
  */
 class PathExtractor
@@ -113,39 +103,17 @@ class PathExtractor
                      BitVector &bits, ExtractionTrace *trace = nullptr) const;
 
     /**
-     * Extract a batch of recorded inferences, optionally fanned out on
-     * @p pool (each pool slot works out of its own workspace in
-     * @p bws). Output ordering is deterministic — out[i] is always the
-     * path of recs[i], bit-identical to a sequential extract() —
-     * regardless of pool size or scheduling.
-     */
-    void extractBatch(const std::vector<nn::Network::Record> &recs,
-                      std::vector<BitVector> &out,
-                      BatchExtractionWorkspace &bws,
-                      ThreadPool *pool = nullptr) const;
-
-    /** Allocating convenience overload of extractBatch. */
-    std::vector<BitVector>
-    extractBatch(const std::vector<nn::Network::Record> &recs,
-                 ThreadPool *pool = nullptr) const;
-
-    /**
-     * Batched profiling entry point: extract every record with the same
-     * deterministic fan-out as extractBatch while tracing each sample,
-     * and return the element-wise averaged trace (the workload the
-     * compiler consumes). out[i] is always the path of recs[i] and the
-     * averaged trace is bit-identical to tracing the records one at a
-     * time in order, at any pool size.
+     * Batched profiling entry point: extract every record while tracing
+     * it, fanned out on @p pool over one workspace per pool slot, and
+     * return the element-wise averaged trace (the workload the compiler
+     * consumes). The averaged trace is bit-identical to tracing the
+     * records one at a time in order, at any pool size, and so is
+     * (*paths)[i], the path of recs[i], when @p paths is given.
      */
     ExtractionTrace
     profileBatch(const std::vector<nn::Network::Record> &recs,
-                 std::vector<BitVector> &out, BatchExtractionWorkspace &bws,
-                 ThreadPool *pool = nullptr) const;
-
-    /** Allocating convenience overload of profileBatch (paths dropped). */
-    ExtractionTrace
-    profileBatch(const std::vector<nn::Network::Record> &recs,
-                 ThreadPool *pool = nullptr) const;
+                 ThreadPool *pool = nullptr,
+                 std::vector<BitVector> *paths = nullptr) const;
 
   private:
     void extractBackward(const nn::Network::Record &rec,

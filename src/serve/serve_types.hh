@@ -156,7 +156,9 @@ struct ServeConfig
      * dispatcher thread, never on a worker mid-batch. Telemetry
      * survives hot model swaps: the replacement session re-attaches
      * the same hub, and window/reference state carries across the
-     * swap untouched.
+     * swap untouched. The hub needs at least as many slots as the
+     * pool is wide; the constructor throws std::invalid_argument
+     * otherwise.
      */
     telemetry::TelemetryHub *telemetry = nullptr;
 };

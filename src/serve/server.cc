@@ -14,6 +14,11 @@ DetectorServer::DetectorServer(const core::DetectorModel &model,
     : cfg(cfg_), faults(faults_), queue(cfg_.queueDepth),
       curModel(std::shared_ptr<const core::DetectorModel>(), &model)
 {
+    // Fail at construction, not on the dispatcher's first batch: the
+    // session would reject a hub narrower than the pool there.
+    if (cfg.telemetry != nullptr)
+        cfg.telemetry->requireCovers(cfg.pool ? *cfg.pool : globalPool(),
+                                     "DetectorServer");
     if (cfg.maxBatch == 0)
         cfg.maxBatch = 1;
     batch.reserve(cfg.maxBatch);

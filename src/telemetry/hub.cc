@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/thread_pool.hh"
 
@@ -60,9 +62,7 @@ TelemetryHub::TelemetryHub(TelemetryConfig c) : cfg(std::move(c))
     cfg.windowRing = std::max<std::size_t>(cfg.windowRing, 1);
     cfg.eventRing = std::max<std::size_t>(cfg.eventRing, 1);
 
-    shards.reserve(cfg.slots);
-    for (std::size_t s = 0; s < cfg.slots; ++s)
-        shards.emplace_back(cfg);
+    shards.growTo(cfg.slots, cfg);
     ring.reserve(cfg.windowRing);
     for (std::size_t w = 0; w < cfg.windowRing; ++w)
         ring.push_back(SealedWindow{0, WindowStats(cfg)});
@@ -83,11 +83,20 @@ TelemetryHub::memoryBytes() const
 }
 
 void
+TelemetryHub::requireCovers(const ThreadPool &pool, const char *who) const
+{
+    if (shards.size() < pool.size())
+        throw std::invalid_argument(
+            std::string(who) +
+            ": telemetry hub has fewer slots than the pool is wide");
+}
+
+void
 TelemetryHub::ingest(unsigned slot, double score, std::size_t predicted_class,
                      bool adversarial, double divergence,
                      const BitVector *path)
 {
-    WindowStats &sh = shards[slot < shards.size() ? slot : 0];
+    WindowStats &sh = shards[slot];
     sh.score.add(score);
     sh.divergence.add(divergence);
     sh.classCounts[predicted_class < sh.classCounts.size() ? predicted_class

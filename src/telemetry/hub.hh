@@ -6,19 +6,21 @@
  * A million-user deployment has to watch its own score and path-bit
  * distributions without keeping per-request state. The hub holds one
  * WindowStats shard per pool slot; the serving hot path
- * (DetectorSession::finishDetect) ingests each Decision into the shard
- * of the executing slot — integer counter updates only, no locks, no
- * allocation. Sealing a window merges the shards in fixed slot order
- * into a preallocated ring of sealed windows, evaluates drift against
- * the reference profile, and resets the shards; steady state performs
- * ZERO heap allocations after construction (asserted by serve_load and
- * the gtest suite, like every other hot loop in the tree).
+ * (DetectorSession::detectBatch and detect) ingests each Decision into
+ * the shard of the executing slot — integer counter updates only, no
+ * locks, no allocation. Sealing a window merges the shards in fixed
+ * slot order into a preallocated ring of sealed windows, evaluates
+ * drift against the reference profile, and resets the shards; steady
+ * state performs ZERO heap allocations after construction (asserted by
+ * serve_load and the gtest suite, like every other hot loop in the
+ * tree).
  *
  * Determinism: every windowed statistic is an integer count (sketch
  * counters, histogram bins, class tallies), so the merged aggregate is
  * bit-identical regardless of which slot ingested which record — i.e.
  * across any PTOLEMY_NUM_THREADS and any scheduling. The CI
- * telemetry-determinism leg hashes sealed windows at 1 vs 2 threads.
+ * telemetry-determinism leg hashes sealed windows at 1, 2 and 4
+ * threads.
  *
  * Thread-safety contract (mirrors DetectorSession): ingest() may be
  * called concurrently for DISTINCT slot ids (the pool guarantees
@@ -55,6 +57,7 @@
 
 #include "telemetry/sketch.hh"
 #include "util/bitvector.hh"
+#include "util/thread_pool.hh"
 
 namespace ptolemy::telemetry
 {
@@ -172,13 +175,19 @@ class TelemetryHub
     const TelemetryConfig &config() const { return cfg; }
     std::size_t numSlots() const { return shards.size(); }
 
+    /** Throws std::invalid_argument when the hub has fewer shards than
+     *  @p pool is wide: ingest() would clamp two workers onto shard 0
+     *  at once. DetectorSession and serve::DetectorServer call this
+     *  before serving on @p pool; @p who prefixes the message. */
+    void requireCovers(const ThreadPool &pool, const char *who) const;
+
     /** Total footprint of shards + ring + reference, bytes. */
     std::size_t memoryBytes() const;
 
     /** One record ingested into the executing slot's shard. Callable
      *  concurrently for distinct @p slot ids; out-of-range ids clamp to
-     *  slot 0 (nested inline pool sections are single-threaded by
-     *  construction — the same clamp DetectorSession uses).
+     *  slot 0 (SlotTable's rule), so callers check requireCovers()
+     *  against their pool first.
      *  @param score forest score (NaN/Inf routes to the poison counter).
      *  @param predicted_class predicted class (tallied; clamped).
      *  @param adversarial detector verdict for the record.
@@ -271,7 +280,7 @@ class TelemetryHub
     void summarize(const SealedWindow &win, WindowSummary &out) const;
 
     TelemetryConfig cfg;
-    std::vector<WindowStats> shards; ///< one per pool slot, lock-free
+    SlotTable<WindowStats> shards; ///< one per pool slot, lock-free
 
     mutable std::mutex sealMu; ///< guards ring/events/reference
     std::vector<SealedWindow> ring;  ///< windowRing preallocated slots

@@ -34,6 +34,7 @@
 #define PTOLEMY_UTIL_THREAD_POOL_HH
 
 #include <atomic>
+#include <cassert>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -280,6 +281,56 @@ class ThreadPool
     unsigned active = 0;
     std::uint64_t generation = 0;
     bool stopping = false;
+};
+
+/**
+ * Per-pool-slot scratch: one T per parallelForWithTid slot id.
+ *
+ * The table grows to a pool's width and never shrinks, so warmed
+ * entries (and their buffers) survive across loops and pool changes.
+ * operator[] clamps an out-of-range id to slot 0: a nested section runs
+ * inline under its thread's slot id in a wider pool, and an inline
+ * section is single-threaded by construction, so slot 0 is safe there.
+ * Iteration runs in slot order 0..size()-1, which gives per-slot shards
+ * a fixed-order merge.
+ */
+template <class T>
+class SlotTable
+{
+  public:
+    /** Grow to at least @p n slots, constructing new ones from
+     *  @p args; never shrinks. */
+    template <class... Args>
+    void
+    growTo(std::size_t n, const Args &...args)
+    {
+        if (slots.size() >= n)
+            return;
+        slots.reserve(n);
+        while (slots.size() < n)
+            slots.emplace_back(args...);
+    }
+
+    /** Slot index @p tid resolves to: itself when in range, else 0. */
+    unsigned index(unsigned tid) const
+    {
+        return tid < slots.size() ? tid : 0u;
+    }
+
+    T &operator[](unsigned tid)
+    {
+        assert(!slots.empty() && "SlotTable: grow before indexing");
+        return slots[index(tid)];
+    }
+
+    std::size_t size() const { return slots.size(); }
+    auto begin() { return slots.begin(); }
+    auto end() { return slots.end(); }
+    auto begin() const { return slots.begin(); }
+    auto end() const { return slots.end(); }
+
+  private:
+    std::vector<T> slots;
 };
 
 /**

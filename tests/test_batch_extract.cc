@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/test_models.hh"
@@ -278,7 +281,52 @@ TEST(ExtractionWorkspace, SurvivesReuseAcrossDifferentNetworks)
     EXPECT_EQ(ex_big.extract(rec_big, ws), ex_big.extract(rec_big));
 }
 
-TEST(ExtractBatch, MatchesSequentialExtractAcrossThreadCounts)
+void
+expectTracesEqual(const ExtractionTrace &a, const ExtractionTrace &b,
+                  const std::string &what)
+{
+    EXPECT_EQ(a.direction, b.direction) << what;
+    EXPECT_EQ(a.pathBits, b.pathBits) << what;
+    EXPECT_EQ(a.totalMacs, b.totalMacs) << what;
+    ASSERT_EQ(a.layers.size(), b.layers.size()) << what;
+    for (std::size_t l = 0; l < a.layers.size(); ++l) {
+        const LayerTrace &x = a.layers[l], &y = b.layers[l];
+        const std::string at = what + " layer " + std::to_string(l);
+        EXPECT_EQ(x.weightedIndex, y.weightedIndex) << at;
+        EXPECT_EQ(x.nodeId, y.nodeId) << at;
+        EXPECT_EQ(x.kind, y.kind) << at;
+        EXPECT_EQ(x.inputFmapSize, y.inputFmapSize) << at;
+        EXPECT_EQ(x.outputFmapSize, y.outputFmapSize) << at;
+        EXPECT_EQ(x.rfSize, y.rfSize) << at;
+        EXPECT_EQ(x.macs, y.macs) << at;
+        EXPECT_EQ(x.importantOut, y.importantOut) << at;
+        EXPECT_EQ(x.psumsConsidered, y.psumsConsidered) << at;
+        EXPECT_EQ(x.sortedElems, y.sortedElems) << at;
+        EXPECT_EQ(x.thresholdCmps, y.thresholdCmps) << at;
+        EXPECT_EQ(x.masksWritten, y.masksWritten) << at;
+        EXPECT_EQ(x.importantIn, y.importantIn) << at;
+        EXPECT_EQ(x.selectScanPasses, y.selectScanPasses) << at;
+        EXPECT_EQ(x.heapFallbackNeurons, y.heapFallbackNeurons) << at;
+        EXPECT_EQ(x.heapPops, y.heapPops) << at;
+    }
+}
+
+/** Sequential reference for profileBatch: extractInto one record at a
+ *  time, in order, with one workspace. */
+ExtractionTrace
+sequentialProfile(const PathExtractor &ex,
+                  const std::vector<nn::Network::Record> &recs,
+                  std::vector<BitVector> &paths)
+{
+    ExtractionWorkspace ws;
+    paths.resize(recs.size());
+    std::vector<ExtractionTrace> traces(recs.size());
+    for (std::size_t i = 0; i < recs.size(); ++i)
+        ex.extractInto(recs[i], ws, paths[i], &traces[i]);
+    return averageTraces(traces);
+}
+
+TEST(ProfileBatch, MatchesSequentialExtractAcrossThreadCounts)
 {
     auto net = ptolemy::testing::makeTinyNet(10);
     nn::heInit(net, 31);
@@ -292,31 +340,58 @@ TEST(ExtractBatch, MatchesSequentialExtractAcrossThreadCounts)
                      ExtractionConfig::fwAb(n_w, 0.1)}) {
         PathExtractor ex(net, cfg);
         std::vector<BitVector> ref;
-        for (const auto &rec : recs)
-            ref.push_back(ex.extract(rec));
+        const ExtractionTrace ref_trace = sequentialProfile(ex, recs, ref);
 
-        // No pool at all (serial overload).
-        const auto serial = ex.extractBatch(recs);
-        ASSERT_EQ(serial.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i)
-            EXPECT_EQ(serial[i], ref[i])
-                << "serial sample " << i << " " << cfg.variantName();
+        // No pool at all: the serial loop.
+        std::vector<BitVector> out;
+        expectTracesEqual(ex.profileBatch(recs, nullptr, &out), ref_trace,
+                          "serial " + cfg.variantName());
+        EXPECT_EQ(out, ref) << "serial " << cfg.variantName();
 
         for (unsigned threads : {1u, 2u, 8u}) {
             ThreadPool pool(threads);
-            BatchExtractionWorkspace bws;
-            std::vector<BitVector> out;
-            // Repeat with a reused workspace: the second round must be
-            // as clean as the first.
-            for (int round = 0; round < 2; ++round) {
-                ex.extractBatch(recs, out, bws, &pool);
-                ASSERT_EQ(out.size(), ref.size());
-                for (std::size_t i = 0; i < ref.size(); ++i)
-                    EXPECT_EQ(out[i], ref[i])
-                        << "threads=" << threads << " round=" << round
-                        << " sample " << i << " " << cfg.variantName();
-            }
+            const std::string what =
+                "threads=" + std::to_string(threads) + " " +
+                cfg.variantName();
+            // Reuse the output vector: stale paths must be overwritten.
+            expectTracesEqual(ex.profileBatch(recs, &pool, &out), ref_trace,
+                              what);
+            ASSERT_EQ(out.size(), ref.size()) << what;
+            for (std::size_t i = 0; i < ref.size(); ++i)
+                EXPECT_EQ(out[i], ref[i]) << what << " sample " << i;
         }
+    }
+}
+
+TEST(ProfileBatch, NestedInWiderPoolWorkerMatchesSequential)
+{
+    // A profileBatch on a narrow pool issued from inside a wider pool's
+    // worker runs inline under that worker's slot id, which is past the
+    // narrow pool's width. Its per-slot workspace must clamp that id
+    // instead of indexing past the table.
+    auto net = ptolemy::testing::makeTinyNet(10);
+    nn::heInit(net, 35);
+    const int n_w = static_cast<int>(net.weightedNodes().size());
+    const auto xs = randomBatch(6, net.inputShape(), 36);
+    std::vector<nn::Network::Record> recs;
+    net.forwardBatch(xs, recs);
+    PathExtractor ex(net, ExtractionConfig::bwCu(n_w, 0.5));
+    std::vector<BitVector> ref;
+    const ExtractionTrace ref_trace = sequentialProfile(ex, recs, ref);
+
+    constexpr std::size_t kOuter = 8;
+    ThreadPool outer(4), inner(2);
+    std::vector<std::vector<BitVector>> paths(kOuter);
+    std::vector<ExtractionTrace> traces(kOuter);
+    outer.parallelFor(kOuter, [&](std::size_t k) {
+        // Hold each task briefly so every outer worker takes one.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        traces[k] = ex.profileBatch(recs, &inner, &paths[k]);
+    });
+    for (std::size_t k = 0; k < kOuter; ++k) {
+        const std::string what = "outer task " + std::to_string(k);
+        expectTracesEqual(traces[k], ref_trace, what);
+        EXPECT_EQ(paths[k], ref) << what;
     }
 }
 

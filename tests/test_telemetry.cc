@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/alloc_probe.hh"
@@ -432,7 +434,9 @@ sessionConfig()
 {
     TelemetryConfig cfg;
     cfg.numClasses = 10;
-    cfg.slots = 8; // ≥ the widest pool below; extra shards merge empty
+    // Covers the widest pool below and the global pool the server
+    // tests run on; extra shards merge empty.
+    cfg.slots = std::max<std::size_t>(8, globalPool().size());
     cfg.windowRecords = 1u << 30; // seal manually
     return cfg;
 }
@@ -476,6 +480,40 @@ TEST(Telemetry, SessionIngestBitIdenticalAcrossThreadCounts)
         ASSERT_TRUE(hub.latestWindow(ws));
         EXPECT_EQ(ws.records, xs.size());
     }
+}
+
+TEST(Telemetry, HubNarrowerThanPoolIsRejected)
+{
+    // A hub with fewer shards than the pool would clamp two threads'
+    // ingests onto shard 0 at once; session and server refuse it up
+    // front instead of racing.
+    const auto &model = fittedModel();
+    const auto xs = mixedInputs(8);
+    ThreadPool pool(2);
+    TelemetryConfig tcfg = sessionConfig();
+    tcfg.slots = 1;
+    TelemetryHub narrow(tcfg);
+
+    core::DetectorSession sess(model);
+    sess.attachTelemetry(&narrow);
+    std::vector<core::Decision> out;
+    EXPECT_THROW(sess.detectBatch(xs, out, &pool), std::invalid_argument);
+    EXPECT_EQ(narrow.pendingRecords(), 0u);
+
+    serve::ServeConfig cfg;
+    cfg.pool = &pool;
+    cfg.telemetry = &narrow;
+    EXPECT_THROW({ serve::DetectorServer srv(model, cfg); },
+                 std::invalid_argument);
+
+    // As wide as the pool is enough.
+    tcfg.slots = pool.size();
+    TelemetryHub exact(tcfg);
+    sess.attachTelemetry(&exact);
+    sess.detectBatch(xs, out, &pool);
+    EXPECT_EQ(exact.pendingRecords(), xs.size());
+    cfg.telemetry = &exact;
+    EXPECT_NO_THROW({ serve::DetectorServer srv(model, cfg); });
 }
 
 TEST(Telemetry, ConcurrentIngestDuringHotModelSwap)

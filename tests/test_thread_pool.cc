@@ -93,5 +93,37 @@ TEST(ThreadPoolExceptions, NestedInlineSectionPropagatesToOuterIndex)
     }
 }
 
+TEST(SlotTable, GrowsNeverShrinksAndClampsForeignIds)
+{
+    SlotTable<std::vector<int>> t;
+    t.growTo(2, 3, 7); // each new slot is vector<int>(3, 7)
+    ASSERT_EQ(t.size(), 2u);
+    t[1].push_back(42); // warm slot 1
+    const std::vector<int> *slot1 = &t[1];
+    const int *buffer1 = t[1].data();
+
+    t.growTo(1); // a narrower pool keeps every slot in place
+    EXPECT_EQ(t.size(), 2u);
+    EXPECT_EQ(&t[1], slot1);
+
+    t.growTo(4); // a wider pool moves slots but keeps their buffers
+    ASSERT_EQ(t.size(), 4u);
+    EXPECT_EQ(t[1], (std::vector<int>{7, 7, 7, 42}));
+    EXPECT_EQ(t[1].data(), buffer1);
+    EXPECT_TRUE(t[3].empty()); // built from this call's (no) args
+
+    // An id past the table resolves to slot 0.
+    EXPECT_EQ(t.index(4), 0u);
+    EXPECT_EQ(t.index(99), 0u);
+    EXPECT_EQ(&t[99], &t[0]);
+    EXPECT_EQ(t.index(3), 3u);
+
+    // Iteration runs in slot order.
+    std::size_t n = 0;
+    for (const auto &slot : t)
+        EXPECT_EQ(&slot, &t[static_cast<unsigned>(n++)]);
+    EXPECT_EQ(n, 4u);
+}
+
 } // namespace
 } // namespace ptolemy

@@ -17,6 +17,7 @@
  * independent, so the CI hash diff alone would not catch them).
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -116,8 +117,9 @@ main()
 
     telemetry::TelemetryConfig tcfg;
     tcfg.numClasses = spec.numClasses;
-    tcfg.slots = 8; // fixed (≥ any CI thread count): identical shard
-                    // geometry no matter the pool width
+    // At least the pool width (the session rejects a narrower hub);
+    // 8 at every CI thread count, so the shard geometry is the same.
+    tcfg.slots = std::max<std::size_t>(8, globalPool().size());
     tcfg.windowRecords = 1u << 30; // sealed manually per phase
     core::DetectorSession sess(model);
     telemetry::TelemetryHub hub(tcfg);
