@@ -4,7 +4,9 @@
  * extractions/sec (single-stream vs the legacy allocate-and-sort
  * strategy), forward+backward passes/sec, data-parallel SGD
  * samples/sec (pooled and 1-thread), and bit-vector similarity
- * ops/sec. Emits BENCH_micro.json — including the thread
+ * ops/sec, plus a per-layer extraction profile (row length, prefix
+ * length, partial-sum and selection time per weighted layer). Emits
+ * BENCH_micro.json — including the thread
  * count, SIMD mode and core count the numbers were taken under — so
  * every PR records a comparable perf trajectory, and counts heap
  * allocations inside the steady-state extract, backward and training
@@ -31,6 +33,7 @@
 #include "data/synthetic.hh"
 #include "hw/area.hh"
 #include "hw/simulator.hh"
+#include "models/zoo.hh"
 #include "nn/common_layers.hh"
 #include "nn/conv.hh"
 #include "nn/gemm.hh"
@@ -330,6 +333,104 @@ benchExtraction(double min_time)
         },
         min_time);
     r.legacyPerSec = 1.0 / legacy_spc;
+    return r;
+}
+
+/** One weighted layer's extraction, per detection. */
+struct LayerProfile
+{
+    const char *kind = "";
+    double neurons = 0.0;  ///< important output neurons ranked
+    double nMean = 0.0;    ///< mean partial-sum row length
+    double kMean = 0.0;    ///< mean selected prefix length
+    double psumUs = 0.0;   ///< building partial-sum rows
+    double selectUs = 0.0; ///< ranked selection
+    double markUs = 0.0;   ///< path bits and next-layer importance
+};
+
+struct ProfileResult
+{
+    std::size_t samples = 0;
+    std::size_t passes = 0;
+    std::vector<LayerProfile> layers;
+};
+
+/**
+ * Per-layer extraction profile on the extraction-bound serving
+ * configuration: MiniResNet18 (he-init) with BwCu theta=0.9 on all 18
+ * weighted layers. Traced extractions on one thread; row length and
+ * prefix length come from the trace's exact counts (k is the scan
+ * passes plus heap pops), times from its per-phase stopwatch.
+ */
+ProfileResult
+benchProfile(double min_time)
+{
+    nn::Network net = models::makeByName("resnet18", 10);
+    nn::heInit(net, 18);
+    const int n_w = static_cast<int>(net.weightedNodes().size());
+    path::PathExtractor ex(net, path::ExtractionConfig::bwCu(n_w, 0.9));
+
+    constexpr std::size_t kSamples = 32;
+    Rng rng(0x9F0F);
+    std::vector<nn::Tensor> xs;
+    for (std::size_t s = 0; s < kSamples; ++s) {
+        nn::Tensor x(net.inputShape());
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = static_cast<float>(rng.uniform());
+        xs.push_back(std::move(x));
+    }
+    std::vector<nn::Network::Record> recs;
+    net.forwardBatch(xs, recs);
+
+    path::ExtractionWorkspace ws;
+    BitVector bits;
+    path::ExtractionTrace tr;
+    for (const auto &rec : recs) // warm every buffer
+        ex.extractInto(rec, ws, bits, &tr);
+
+    struct Sums
+    {
+        double neurons = 0, psums = 0, k = 0, psumNs = 0, selectNs = 0,
+               markNs = 0;
+    };
+    std::vector<Sums> sums(tr.layers.size());
+    ProfileResult r;
+    r.samples = kSamples;
+    const auto start = Clock::now();
+    do {
+        for (const auto &rec : recs) {
+            ex.extractInto(rec, ws, bits, &tr);
+            for (std::size_t l = 0; l < tr.layers.size(); ++l) {
+                const auto &lt = tr.layers[l];
+                auto &sm = sums[l];
+                sm.neurons += static_cast<double>(lt.importantOut);
+                sm.psums += static_cast<double>(lt.psumsConsidered);
+                sm.k += static_cast<double>(lt.selectScanPasses +
+                                            lt.heapPops);
+                sm.psumNs += static_cast<double>(lt.psumNs);
+                sm.selectNs += static_cast<double>(lt.selectNs);
+                sm.markNs += static_cast<double>(lt.markNs);
+            }
+        }
+        ++r.passes;
+    } while (std::chrono::duration<double>(Clock::now() - start).count() <
+             min_time);
+
+    const double detections = static_cast<double>(r.passes * kSamples);
+    for (std::size_t l = 0; l < tr.layers.size(); ++l) {
+        const Sums &sm = sums[l];
+        LayerProfile lp;
+        lp.kind = nn::layerKindName(net.layerAt(tr.layers[l].nodeId).kind());
+        lp.neurons = sm.neurons / detections;
+        if (sm.neurons > 0) {
+            lp.nMean = sm.psums / sm.neurons;
+            lp.kMean = sm.k / sm.neurons;
+        }
+        lp.psumUs = sm.psumNs * 1e-3 / detections;
+        lp.selectUs = sm.selectNs * 1e-3 / detections;
+        lp.markUs = sm.markNs * 1e-3 / detections;
+        r.layers.push_back(lp);
+    }
     return r;
 }
 
@@ -1047,6 +1148,7 @@ main(int argc, char **argv)
     const auto det = benchDetect(min_time);
     const auto sim = benchSimilarity(min_time);
     const auto hwb = benchHw();
+    const auto prof = benchProfile(min_time);
 
     const unsigned threads = ptolemy::globalPool().size();
     const unsigned cores = std::thread::hardware_concurrency();
@@ -1083,6 +1185,25 @@ main(int argc, char **argv)
     j.kv("speedup", ext.newPerSec / ext.legacyPerSec);
     j.kv("allocs_per_extract", ext.allocsPerExtract);
     j.kv("path_bits_last", ext.pathBits);
+    j.endObject();
+    j.key("profile").beginObject();
+    j.kv("model", "MiniResNet18 (he-init) on 3x16x16, BwCu theta=0.9, "
+                  "all 18 layers; traced, 1 thread, us per detection");
+    j.kv("samples", prof.samples);
+    j.kv("passes", prof.passes);
+    j.key("layers").beginArray();
+    for (const auto &lp : prof.layers) {
+        j.beginObject();
+        j.kv("kind", lp.kind);
+        j.kv("neurons", lp.neurons);
+        j.kv("n_mean", lp.nMean);
+        j.kv("k_mean", lp.kMean);
+        j.kv("psum_us", lp.psumUs);
+        j.kv("select_us", lp.selectUs);
+        j.kv("mark_us", lp.markUs);
+        j.endObject();
+    }
+    j.endArray();
     j.endObject();
     j.key("backward").beginObject();
     j.kv("model", "3conv+2fc on 3x32x32, fwd+softmaxCE+bwd");
@@ -1256,7 +1377,19 @@ main(int argc, char **argv)
               << hwb.batch8.cycles << " cycles ("
               << hwb.batch8.cycles / 8 << "/detection), no-passes "
               << hwb.none.cycles << " cycles\n"
-              << "wrote " << out_path << "\n";
+              << "extraction profile (resnet18 BwCu 0.9, us/detection):";
+    {
+        double psum = 0, select = 0, mark = 0;
+        for (const auto &lp : prof.layers) {
+            psum += lp.psumUs;
+            select += lp.selectUs;
+            mark += lp.markUs;
+        }
+        std::cout << " psum " << psum << ", select " << select
+                  << ", mark " << mark << " over " << prof.layers.size()
+                  << " layers\n";
+    }
+    std::cout << "wrote " << out_path << "\n";
     if (ext.allocsPerExtract != 0) {
         std::cerr << "FAIL: steady-state extract loop performed "
                   << ext.allocsPerExtract << " heap allocations per call "

@@ -127,7 +127,7 @@ MaxPool2d::backmapImportant(
     // Re-derive the winner from the recorded tensors: the important output
     // value equals the maximal input in its pooling window.
     const Tensor &in = *ins[0];
-    per_input.assign(1, {});
+    clearBackmap(per_input);
     per_input[0].reserve(out_idx.size());
     const int ow = out.shape().w;
     const int oh = out.shape().h;
@@ -212,7 +212,7 @@ GlobalAvgPool::backmapImportant(
     // mark the whole channel plane (windows are small in our models).
     (void)out;
     const Shape in_shape = ins[0]->shape();
-    per_input.assign(1, {});
+    clearBackmap(per_input);
     for (std::size_t o : out_idx) {
         const int c = static_cast<int>(o);
         for (int y = 0; y < in_shape.h; ++y)
@@ -304,7 +304,9 @@ Add::backmapImportant(const std::vector<const Tensor *> &ins,
     // Both branches carry the important value at the same element.
     (void)ins;
     (void)out;
-    per_input.assign(2, out_idx);
+    clearBackmap(per_input);
+    per_input[0].assign(out_idx.begin(), out_idx.end());
+    per_input[1].assign(out_idx.begin(), out_idx.end());
 }
 
 // -------------------------------------------------------------- Concat ----
@@ -364,7 +366,7 @@ Concat::backmapImportant(
 {
     (void)out;
     const std::size_t split = ins[0]->size();
-    per_input.assign(2, {});
+    clearBackmap(per_input);
     for (std::size_t o : out_idx) {
         if (o < split)
             per_input[0].push_back(o);
@@ -426,7 +428,7 @@ DownsamplePad::backmapImportant(
     std::vector<std::vector<std::size_t>> &per_input) const
 {
     const Tensor &in = *ins[0];
-    per_input.assign(1, {});
+    clearBackmap(per_input);
     const int oh = out.shape().h, ow = out.shape().w;
     for (std::size_t o : out_idx) {
         const int c = static_cast<int>(o / (static_cast<std::size_t>(oh) *

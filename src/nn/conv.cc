@@ -252,59 +252,50 @@ void
 Conv2d::partialSums(const Tensor &input, std::size_t out_index,
                     std::vector<PartialSum> &out) const
 {
-    out.clear();
-    out.reserve(receptiveFieldSize());
     const int ih = input.shape().h, iw = input.shape().w;
     const int oh = (ih + 2 * padding - kSize) / strd + 1;
     const int ow = (iw + 2 * padding - kSize) / strd + 1;
-    const std::size_t plane = static_cast<std::size_t>(oh) * ow;
-    const int oc = static_cast<int>(out_index / plane);
-    const std::size_t rem = out_index % plane;
-    const int oy = static_cast<int>(rem / ow);
-    const int ox = static_cast<int>(rem % ow);
+    // Decode in 32 bits: PartialSum indices are u32 anyway, and u32
+    // division is far cheaper than 64-bit on the hot per-neuron path.
+    const auto plane = static_cast<std::uint32_t>(oh * ow);
+    const auto o = static_cast<std::uint32_t>(out_index);
+    const auto oc = static_cast<int>(o / plane);
+    const std::uint32_t rem = o - static_cast<std::uint32_t>(oc) * plane;
+    const auto oy = static_cast<int>(rem / static_cast<std::uint32_t>(ow));
+    const int ox = static_cast<int>(rem) - oy * ow;
 
+    // Clip the kernel window to the image once; the taps left are all
+    // in-image, so the walk below has no per-tap checks. Same
+    // (ic, ky, kx) emission order and the same single-rounding
+    // products as a per-tap bounds-checked loop.
     const int iy0 = oy * strd - padding;
     const int ix0 = ox * strd - padding;
-
-    if (iy0 >= 0 && ix0 >= 0 && iy0 + kSize <= ih && ix0 + kSize <= iw) {
-        // Interior neuron: the whole receptive field is in-image, so
-        // the per-tap bounds checks vanish and every tap emits. Same
-        // (ic, ky, kx) emission order and the same single-rounding
-        // products as the general loop below.
-        out.resize(static_cast<std::size_t>(inC) * kSize * kSize);
-        const float *w = &weight[(static_cast<std::size_t>(oc) * inC) *
-                                 kSize * kSize];
-        const float *in = input.data();
-        PartialSum *dst = out.data();
-        for (int ic = 0; ic < inC; ++ic) {
-            const std::size_t plane0 =
-                (static_cast<std::size_t>(ic) * ih + iy0) * iw + ix0;
-            for (int ky = 0; ky < kSize; ++ky) {
-                const float *row = in + plane0 + static_cast<std::size_t>(ky) * iw;
-                const std::uint32_t idx0 =
-                    static_cast<std::uint32_t>(plane0 + static_cast<std::size_t>(ky) * iw);
-                for (int kx = 0; kx < kSize; ++kx)
-                    *dst++ = {idx0 + static_cast<std::uint32_t>(kx),
-                              w[kx] * row[kx]};
-                w += kSize;
-            }
-        }
+    const int ky0 = std::max(0, -iy0), ky1 = std::min(kSize, ih - iy0);
+    const int kx0 = std::max(0, -ix0), kx1 = std::min(kSize, iw - ix0);
+    if (ky1 <= ky0 || kx1 <= kx0) { // window entirely in the padding
+        out.clear();
         return;
     }
+    const int ny = ky1 - ky0, nx = kx1 - kx0;
+    const std::size_t kk = static_cast<std::size_t>(kSize) * kSize;
+    out.reserve(inC * kk); // the full window: one growth per buffer
+    out.resize(static_cast<std::size_t>(inC) * ny * nx);
 
-    for (int ic = 0; ic < inC; ++ic) {
-        for (int ky = 0; ky < kSize; ++ky) {
-            const int iy = iy0 + ky;
-            if (iy < 0 || iy >= ih)
-                continue;
-            for (int kx = 0; kx < kSize; ++kx) {
-                const int ix = ix0 + kx;
-                if (ix < 0 || ix >= iw)
-                    continue;
-                const float v = wAt(oc, ic, ky, kx) * input.at(ic, iy, ix);
-                out.push_back(
-                    {static_cast<std::uint32_t>(input.index(ic, iy, ix)), v});
-            }
+    const float *w = weight.data() + static_cast<std::size_t>(oc) * inC * kk +
+                     static_cast<std::size_t>(ky0) * kSize + kx0;
+    const float *in = input.data();
+    const auto chan = static_cast<std::uint32_t>(ih * iw);
+    std::uint32_t base =
+        static_cast<std::uint32_t>((iy0 + ky0) * iw + ix0 + kx0);
+    PartialSum *dst = out.data();
+    for (int ic = 0; ic < inC; ++ic, w += kk, base += chan) {
+        const float *wr = w;
+        std::uint32_t idx = base;
+        for (int ky = 0; ky < ny; ++ky, wr += kSize, idx += iw) {
+            const float *row = in + idx;
+            for (int kx = 0; kx < nx; ++kx)
+                *dst++ = {idx + static_cast<std::uint32_t>(kx),
+                          wr[kx] * row[kx]};
         }
     }
 }

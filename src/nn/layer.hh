@@ -274,12 +274,22 @@ class Layer
      * @param ins recorded inputs of the forward pass being analyzed.
      * @param out recorded output of that pass.
      * @param out_idx sorted important output flat indices.
-     * @param per_input filled with important input flat indices per input.
+     * @param per_input entry i, for i < numInputs(), is filled with the
+     *        important flat indices of input i. The outer vector grows
+     *        to numInputs() but never shrinks (entries past it are
+     *        stale), so one buffer shared by layers of different fan-in
+     *        keeps every inner vector's capacity.
      */
     virtual void backmapImportant(
         const std::vector<const Tensor *> &ins, const Tensor &out,
         const std::vector<std::size_t> &out_idx,
         std::vector<std::vector<std::size_t>> &per_input) const;
+
+  protected:
+    /** Grow @p per_input to at least numInputs() entries and clear the
+     *  first numInputs(), keeping their capacity (backmapImportant's
+     *  out-parameter contract). */
+    void clearBackmap(std::vector<std::vector<std::size_t>> &per_input) const;
 
   private:
     std::string layerName;

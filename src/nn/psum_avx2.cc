@@ -1,16 +1,17 @@
 /**
  * @file
- * AVX2 partial-sum construction kernel (compiled with -mavx2 -mfma;
- * empty TU otherwise). Extraction's hottest loop is building the
- * per-neuron (input index, w*x) rows that feed the ranking heap — for
- * the fc1 layer that is inN products per important neuron. Each value
- * is a single multiply (one rounding), so this path is bit-identical
- * to the scalar loop it replaces.
+ * AVX2 extraction kernels (compiled with -mavx2 -mfma; empty TU
+ * otherwise): the Linear partial-sum row (inN products per important
+ * neuron, each a single multiply, so bit-identical to the scalar loop)
+ * and the ranked argmax that successive selection passes run over a
+ * row's unselected tail.
  */
 
 #include "psum_kernels.hh"
 
 #ifdef PTOLEMY_HAVE_AVX2
+
+#include <algorithm>
 
 #include <immintrin.h>
 
@@ -48,78 +49,120 @@ avx2PartialProducts(const float *w, const float *x, std::uint32_t n,
         out[i] = {i, w[i] * x[i]};
 }
 
+namespace
+{
+
+// 8 structs as two 32-byte loads, v0 = {i0 f0 i1 f1 | i2 f2 i3 f3} and
+// v1 = {i4 f4 ... f7}; shuffle_ps picks (per 128-bit half) the value or
+// the index slots. The lane order is scrambled but the same for both,
+// which is all a max or a min needs.
+inline __m256
+load4(const PartialSum *q)
+{
+    return _mm256_loadu_ps(reinterpret_cast<const float *>(q));
+}
+
+inline __m256
+values8(const PartialSum *q)
+{
+    return _mm256_shuffle_ps(load4(q), load4(q + 4), 0xDD);
+}
+
+inline __m256i
+indices8(const PartialSum *q)
+{
+    return _mm256_castps_si256(
+        _mm256_shuffle_ps(load4(q), load4(q + 4), 0x88));
+}
+
+/** Folds every 8-struct window of p[0, n) (n >= 8) into two independent
+ *  accumulators, so the fold's latency stays off the critical path. The
+ *  last window is the overlapping [n - 8, n): max, min and "any match"
+ *  do not mind visiting an element twice. */
+template <typename V, typename Fold>
+V
+sweep(const PartialSum *p, std::size_t n, V init, Fold fold)
+{
+    V a = init, b = init;
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        a = fold(p + i, a);
+        b = fold(p + i + 8, b);
+    }
+    for (; i < n; i += 8)
+        a = fold(p + std::min(i, n - 8), a);
+    return fold.combine(a, b);
+}
+
+} // namespace
+
 std::size_t
 avx2ArgmaxRanked(const PartialSum *p, std::size_t n)
 {
-    // Scalar reference order: best if value greater, or equal value and
-    // smaller inputIndex. Lanes additionally track the array position so
-    // the winner can be swapped into place by the caller.
-    std::size_t best = 0;
-    std::size_t i = 1;
-    if (n >= 16) {
-        const auto *words = reinterpret_cast<const __m256i *>(p);
-        // Each 64-byte pair of loads covers structs [i, i+8):
-        // v0 = {i0 f0 i1 f1 | i2 f2 i3 f3}, v1 = {i4 f4 ... f7}.
-        // shuffle_ps picks (per 128-bit half) the value or index slots;
-        // the resulting lane order is scrambled but identical between
-        // the value, index and position vectors, which is all the
-        // max-tracking needs.
-        __m256 bval = _mm256_set1_ps(p[0].value);
-        __m256i bidx = _mm256_set1_epi32(
-            static_cast<std::int32_t>(p[0].inputIndex));
-        __m256i bpos = _mm256_setzero_si256();
-        const __m256i lane_pos =
-            _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
-        const __m256i step = _mm256_set1_epi32(8);
-        __m256i pos = lane_pos;
-        i = 0;
-        for (; i + 8 <= n; i += 8) {
-            const __m256 v0 = _mm256_castsi256_ps(
-                _mm256_loadu_si256(words + i / 4));
-            const __m256 v1 = _mm256_castsi256_ps(
-                _mm256_loadu_si256(words + i / 4 + 1));
-            const __m256 val = _mm256_shuffle_ps(v0, v1, 0xDD);
-            const __m256i idx =
-                _mm256_castps_si256(_mm256_shuffle_ps(v0, v1, 0x88));
-            const __m256 gt = _mm256_cmp_ps(val, bval, _CMP_GT_OQ);
-            const __m256 eq = _mm256_cmp_ps(val, bval, _CMP_EQ_OQ);
-            const __m256i smaller = _mm256_cmpgt_epi32(bidx, idx);
-            const __m256 take = _mm256_or_ps(
-                gt, _mm256_and_ps(eq, _mm256_castsi256_ps(smaller)));
-            bval = _mm256_blendv_ps(bval, val, take);
-            bidx = _mm256_castps_si256(
-                _mm256_blendv_ps(_mm256_castsi256_ps(bidx),
-                                 _mm256_castsi256_ps(idx), take));
-            bpos = _mm256_castps_si256(
-                _mm256_blendv_ps(_mm256_castsi256_ps(bpos),
-                                 _mm256_castsi256_ps(pos), take));
-            pos = _mm256_add_epi32(pos, step);
+    // The scalar scan keeps p[0] when it is NaN (every compare against
+    // it is false) and never adopts a NaN anywhere else.
+    if (p[0].value != p[0].value)
+        return 0;
+
+    // Pass 1: the maximum value. max(v, m) returns m when v is NaN, and
+    // the accumulators start at the non-NaN p[0], so NaNs never enter.
+    struct MaxFold
+    {
+        __m256 operator()(const PartialSum *q, __m256 m) const
+        {
+            return _mm256_max_ps(values8(q), m);
         }
-        alignas(32) float vals[8];
-        alignas(32) std::uint32_t idxs[8];
-        alignas(32) std::uint32_t poss[8];
-        _mm256_store_ps(vals, bval);
-        _mm256_store_si256(reinterpret_cast<__m256i *>(idxs), bidx);
-        _mm256_store_si256(reinterpret_cast<__m256i *>(poss), bpos);
-        best = poss[0];
-        float bv = vals[0];
-        std::uint32_t bi = idxs[0];
-        for (int l = 1; l < 8; ++l) {
-            if (vals[l] > bv || (vals[l] == bv && idxs[l] < bi)) {
-                bv = vals[l];
-                bi = idxs[l];
-                best = poss[l];
-            }
+        __m256 combine(__m256 a, __m256 b) const
+        {
+            __m256 m = _mm256_max_ps(a, b);
+            m = _mm256_max_ps(m, _mm256_permute2f128_ps(m, m, 1));
+            m = _mm256_max_ps(m, _mm256_shuffle_ps(m, m, 0x4E));
+            return _mm256_max_ps(m, _mm256_shuffle_ps(m, m, 0xB1));
         }
+    };
+    const __m256 m = sweep(p, n, _mm256_set1_ps(p[0].value), MaxFold{});
+
+    // Pass 2: the smallest inputIndex among the entries equal to the
+    // max (== also equates -0.0 and +0.0, as the scalar order does);
+    // other entries contribute UINT32_MAX.
+    struct MinIndexFold
+    {
+        __m256 max;
+        __m256i operator()(const PartialSum *q, __m256i k) const
+        {
+            const __m256i eq = _mm256_castps_si256(
+                _mm256_cmp_ps(values8(q), max, _CMP_EQ_OQ));
+            return _mm256_min_epu32(
+                _mm256_or_si256(indices8(q),
+                                _mm256_andnot_si256(
+                                    eq, _mm256_set1_epi32(-1))),
+                k);
+        }
+        __m256i combine(__m256i a, __m256i b) const
+        {
+            __m256i k = _mm256_min_epu32(a, b);
+            k = _mm256_min_epu32(k, _mm256_permute2x128_si256(k, k, 1));
+            k = _mm256_min_epu32(k, _mm256_shuffle_epi32(k, 0x4E));
+            return _mm256_min_epu32(k, _mm256_shuffle_epi32(k, 0xB1));
+        }
+    };
+    const __m256i k = sweep(p, n, _mm256_set1_epi32(-1), MinIndexFold{m});
+
+    // Pass 3: the position of that (distinct) inputIndex. Compare the
+    // raw interleaved words and keep the index slots' mask bits (the
+    // even ones), so a value's bit pattern never matches.
+    auto hits = [&](const PartialSum *q) {
+        return static_cast<unsigned>(_mm256_movemask_ps(
+            _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+                _mm256_castps_si256(load4(q)), k))));
+    };
+    for (std::size_t i = 0;; i += 8) {
+        const std::size_t at = std::min(i, n - 8);
+        const unsigned hit =
+            (hits(p + at) | hits(p + at + 4) << 8) & 0x5555u;
+        if (hit)
+            return at + static_cast<std::size_t>(__builtin_ctz(hit)) / 2;
     }
-    for (; i < n; ++i) {
-        const bool better =
-            p[i].value > p[best].value ||
-            (p[i].value == p[best].value &&
-             p[i].inputIndex < p[best].inputIndex);
-        best = better ? i : best;
-    }
-    return best;
 }
 
 } // namespace ptolemy::nn::detail

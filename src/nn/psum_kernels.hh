@@ -37,9 +37,12 @@ void avx2PartialProducts(const float *w, const float *x, std::uint32_t n,
 
 /**
  * Array position of the ranked-first entry of p[0, n): highest value,
- * ties broken by the smaller inputIndex (the extraction total order).
- * Pure comparisons — no float arithmetic — so the result is exactly
- * the scalar scan's, independent of lane count. n must be >= 1.
+ * ties broken by the smaller inputIndex (the extraction total order;
+ * inputIndex values are distinct within a row). A NaN at p[0] wins and
+ * a NaN anywhere else never does, exactly as in the scalar scan. Three
+ * throughput-bound passes — value max, min inputIndex among the
+ * entries equal to it, position of that index — of pure comparisons,
+ * so the result is exactly the scalar scan's. n must be >= 8.
  */
 std::size_t avx2ArgmaxRanked(const PartialSum *p, std::size_t n);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 
 #include "nn/psum_kernels.hh"
 #include "util/rng.hh"
@@ -35,14 +36,15 @@ heapLess(const nn::PartialSum &a, const nn::PartialSum &b)
 
 /** Array position of the rankedBefore-first entry of p[0, n). Pure
  *  comparisons under the same total order as the sort/heap paths, so
- *  all three selection strategies pick identical elements. The scan is
- *  branchless (conditional moves / AVX2 blends) where the heap walk
- *  mispredicts on essentially every random float comparison. */
+ *  all selection strategies pick identical elements. Branchless
+ *  (conditional moves; AVX2 max / min-index / locate passes from 8
+ *  elements up), where a heap walk mispredicts on essentially every
+ *  random float comparison. */
 inline std::size_t
 argmaxRanked(const nn::PartialSum *p, std::size_t n)
 {
 #ifdef PTOLEMY_HAVE_AVX2
-    if (n >= 16 && simdMode() == SimdMode::Avx2)
+    if (n >= 8 && simdMode() == SimdMode::Avx2)
         return nn::detail::avx2ArgmaxRanked(p, n);
 #endif
     std::size_t best = 0;
@@ -59,6 +61,36 @@ argmaxRanked(const nn::PartialSum *p, std::size_t n)
  *  pathological wide prefix stays O(n + k log n). The constant lives in
  *  trace.hh so the compiler can mirror it in static trip counts. */
 constexpr int kMaxScanPasses = kMaxSelectScanPasses;
+
+/** Phase stopwatch for traced extractions: lap(ns) adds the time since
+ *  the previous lap to @p ns. A stopwatch built off never reads the
+ *  clock, so untraced extraction times nothing. */
+class Stopwatch
+{
+  public:
+    explicit Stopwatch(bool on) : enabled(on)
+    {
+        if (enabled)
+            last = Clock::now();
+    }
+
+    void
+    lap(std::uint64_t &ns)
+    {
+        if (!enabled)
+            return;
+        const auto now = Clock::now();
+        ns += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(now - last)
+                .count());
+        last = now;
+    }
+
+  private:
+    using Clock = std::chrono::steady_clock;
+    bool enabled;
+    Clock::time_point last;
+};
 
 } // namespace
 
@@ -139,16 +171,13 @@ PathExtractor::profileBatch(const std::vector<nn::Network::Record> &recs,
 }
 
 void
-PathExtractor::selectImportantInputs(const nn::Layer &layer,
-                                     const nn::Tensor &input,
-                                     std::size_t out_idx, float out_val,
+PathExtractor::selectImportantInputs(float out_val,
                                      const LayerPolicy &policy,
                                      ExtractionWorkspace &ws) const
 {
     auto &scratch = ws.scratch;
     auto &selected = ws.selected;
     selected.clear();
-    layer.partialSums(input, out_idx, scratch);
     if (scratch.empty())
         return;
 
@@ -279,9 +308,12 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
             lt.macs = weightedLayerMacs(*net, id);
             lt.importantOut = ws.important[id].size();
 
+            Stopwatch sw(trace != nullptr);
             for (std::size_t o : ws.important[id]) {
-                selectImportantInputs(*node.layer, input, o,
-                                      rec.outputs[id][o], policy, ws);
+                node.layer->partialSums(input, o, ws.scratch);
+                sw.lap(lt.psumNs);
+                selectImportantInputs(rec.outputs[id][o], policy, ws);
+                sw.lap(lt.selectNs);
                 lt.psumsConsidered += ws.scratch.size();
                 if (policy.kind == ThresholdKind::Cumulative) {
                     lt.sortedElems += ws.scratch.size();
@@ -307,6 +339,7 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
                     }
                     mark(in_id, in_idx);
                 }
+                sw.lap(lt.markNs);
             }
             // Absolute variants store one single-bit mask per partial sum
             // during inference (paper Sec. III-C); cumulative variants
@@ -324,7 +357,7 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
                                         : &rec.outputs[in_id]);
             node.layer->backmapImportant(ins, rec.outputs[id],
                                          ws.important[id], ws.perInput);
-            for (std::size_t slot = 0; slot < ws.perInput.size(); ++slot)
+            for (std::size_t slot = 0; slot < node.inputs.size(); ++slot)
                 for (std::size_t idx : ws.perInput[slot])
                     mark(node.inputs[slot], idx);
         }
@@ -361,6 +394,7 @@ PathExtractor::extractForward(const nn::Network::Record &rec,
         lt.rfSize = node.layer->receptiveFieldSize();
         lt.macs = weightedLayerMacs(*net, id);
         lt.importantOut = 0; // forward mode is not driven by outputs
+        Stopwatch sw(trace != nullptr);
 
         if (policy.kind == ThresholdKind::Absolute) {
             // Threshold the freshly produced feature map; the single-bit
@@ -424,6 +458,7 @@ PathExtractor::extractForward(const nn::Network::Record &rec,
             lt.heapFallbackNeurons = 1;
             lt.heapPops = lt.importantIn;
         }
+        sw.lap(lt.selectNs);
         if (trace)
             trace->layers.push_back(lt);
     }

@@ -44,11 +44,14 @@ namespace ptolemy::path
 struct ExtractionWorkspace
 {
     /** Selection strategy for cumulative-threshold layers. When true,
-     *  fully sort every partial-sum list (the pre-workspace reference
-     *  behavior); when false (default), pop a max-heap only until theta
-     *  coverage is reached, which is O(n + k log n) for a k-element
-     *  prefix instead of O(n log n). Both orders rank by value with
-     *  input-index tie-breaks, so the selected sets are identical. */
+     *  fully sort every partial-sum list (the independent oracle
+     *  hw::runFunctional uses). When false (default), run successive
+     *  ranked-argmax passes, each moving the next-ranked element to the
+     *  front of the row, and past kMaxSelectScanPasses heapify the rest
+     *  and pop until theta coverage: O(k n) for the usual short prefix,
+     *  O(n + k log n) for a wide one. Both rank by value with
+     *  input-index tie-breaks, so the selected prefixes are identical,
+     *  element for element and in order. */
     bool referenceSort = false;
 
     std::vector<std::vector<std::size_t>> important; ///< per node
@@ -57,7 +60,7 @@ struct ExtractionWorkspace
     std::vector<nn::PartialSum> scratch;   ///< partial sums of one neuron
     std::vector<std::size_t> selected;     ///< selected input indices
     std::vector<std::size_t> order;        ///< forward-cumulative ranking
-    std::vector<std::vector<std::size_t>> perInput; ///< backmap results
+    std::vector<std::vector<std::size_t>> perInput; ///< backmap results, max fan-in entries
     std::vector<const nn::Tensor *> insScratch;     ///< backmap input views
 };
 
@@ -123,11 +126,10 @@ class PathExtractor
                         ExtractionWorkspace &ws, BitVector &bits,
                         ExtractionTrace *trace) const;
 
-    /** Pick important inputs of one weighted output neuron into
-     *  ws.selected. */
-    void selectImportantInputs(const nn::Layer &layer,
-                               const nn::Tensor &input, std::size_t out_idx,
-                               float out_val, const LayerPolicy &policy,
+    /** Pick the important inputs of one weighted output neuron, whose
+     *  value is @p out_val and whose partial-sum row is in ws.scratch,
+     *  into ws.selected. */
+    void selectImportantInputs(float out_val, const LayerPolicy &policy,
                                ExtractionWorkspace &ws) const;
 
     const nn::Network *net;

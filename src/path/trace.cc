@@ -29,6 +29,9 @@ averageTraces(const std::vector<ExtractionTrace> &traces)
             dst.selectScanPasses += src.selectScanPasses;
             dst.heapFallbackNeurons += src.heapFallbackNeurons;
             dst.heapPops += src.heapPops;
+            dst.psumNs += src.psumNs;
+            dst.selectNs += src.selectNs;
+            dst.markNs += src.markNs;
         }
     }
     avg.pathBits /= n;
@@ -42,6 +45,9 @@ averageTraces(const std::vector<ExtractionTrace> &traces)
         lt.selectScanPasses /= n;
         lt.heapFallbackNeurons /= n;
         lt.heapPops /= n;
+        lt.psumNs /= n;
+        lt.selectNs /= n;
+        lt.markNs /= n;
     }
     return avg;
 }

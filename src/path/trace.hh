@@ -14,6 +14,7 @@
 #define PTOLEMY_PATH_TRACE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "path/extraction_config.hh"
@@ -48,13 +49,23 @@ struct LayerTrace
     std::size_t masksWritten = 0;    ///< single-bit masks stored
     std::size_t importantIn = 0;     ///< path bits set at this layer
 
-    // Ranked-prefix selection shape (cumulative layers): how the theta
-    // prefix was actually found. Each scan pass is one full argmax sweep
-    // of the remaining candidates; neurons whose prefix outgrows
-    // kMaxSelectScanPasses fall back to a heap and pay heapPops pops.
+    // Ranked-prefix selection shape (cumulative layers). These are not
+    // measured: they are derived from each neuron's selected prefix
+    // length k as min(k, kMaxSelectScanPasses) passes plus
+    // k - kMaxSelectScanPasses heap pops past the cap, so they model the
+    // hardware's successive-selection shape (one pass per emitted
+    // element) whatever software kernel found the prefix. The compiler
+    // and the cycle model consume them as trip counts.
     std::size_t selectScanPasses = 0;   ///< argmax sweeps across neurons
     std::size_t heapFallbackNeurons = 0; ///< neurons that hit the fallback
     std::size_t heapPops = 0;           ///< fallback heap pops
+
+    // Wall time of this layer's extraction by phase, summed over its
+    // important neurons. Recorded only when extraction is traced; the
+    // untraced path reads no clock.
+    std::uint64_t psumNs = 0;   ///< building partial-sum rows
+    std::uint64_t selectNs = 0; ///< ranked or threshold selection
+    std::uint64_t markNs = 0;   ///< path bits and next-layer importance
 };
 
 /** Whole-network extraction trace for one input. */

@@ -21,6 +21,8 @@
 #include "common/test_models.hh"
 #include "core/detector_model.hh"
 #include "core/detector_session.hh"
+#include "models/zoo.hh"
+#include "nn/init.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
 
@@ -240,6 +242,44 @@ TEST(DetectorApi, SessionReuseIsAllocationFreeAfterWarmup)
                          std::span<Decision>(&d, 1), &pool);
     EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before_single)
         << "steady-state single-sample serving performed allocations";
+}
+
+TEST(DetectorApi, ResidualNetSessionIsAllocationFreeAfterOneWarmPass)
+{
+    // MiniResNet18's residual Adds take two inputs while its ReLUs and
+    // pools take one: the extraction's shared backmap buffer must keep
+    // both inner vectors' capacity across that alternation. BwCu 0.9 on
+    // all 18 layers is the extraction-heavy serving configuration.
+    nn::Network net = models::makeByName("resnet18", 10);
+    nn::heInit(net, 18);
+    const int layers = static_cast<int>(net.weightedNodes().size());
+    const DetectorModel model(
+        net, path::ExtractionConfig::bwCu(layers, 0.9), 10);
+
+    Rng rng(0x2E5);
+    std::vector<nn::Tensor> xs;
+    std::vector<const nn::Tensor *> xptrs;
+    for (int i = 0; i < 16; ++i) {
+        nn::Tensor x(net.inputShape());
+        for (std::size_t e = 0; e < x.size(); ++e)
+            x[e] = static_cast<float>(rng.uniform());
+        xs.push_back(std::move(x));
+    }
+    for (const auto &x : xs)
+        xptrs.push_back(&x);
+    std::vector<Decision> out(xs.size());
+    const std::span<const nn::Tensor *const> xspan(xptrs.data(),
+                                                   xptrs.size());
+    const std::span<Decision> ospan(out.data(), out.size());
+
+    // 1-thread pool: slot 0 meets every input in the warm pass.
+    ThreadPool pool(1);
+    DetectorSession sess(model);
+    sess.detectBatch(xspan, ospan, &pool);
+    const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+    sess.detectBatch(xspan, ospan, &pool);
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
+        << "second detectBatch pass on resnet18 allocated";
 }
 
 TEST(DetectorApi, EmptyBatchIsANoOp)
